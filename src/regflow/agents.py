@@ -234,8 +234,12 @@ def render_prompt(
     regulations: list[Regulation],
     state: SystemState,
     env: PolicyEnv,
+    max_step: float = DEFAULT_MAX_STEP,
 ) -> str:
-    """Deterministic decision prompt for one agent and one step."""
+    """Deterministic decision prompt for one agent and one step.
+
+    The prompt states max_step as the bound on each adjustment value.
+    """
     _check_profile(profile)
     strictness = _check_regulations(regulations)
     lines = [
@@ -269,7 +273,7 @@ def render_prompt(
         REPLY_GRAMMAR,
         f"Scores are integers from 1 to 10. Adjustment keys must be among: "
         f"{', '.join(PARAM_FIELDS)}.",
-        f"Each adjustment value must lie within +/-{DEFAULT_MAX_STEP}.",
+        f"Each adjustment value must lie within +/-{max_step}.",
     ]
     return "\n".join(lines)
 
@@ -409,7 +413,7 @@ def llm_policy_decide(
     the rule policy, with the failure category recorded in the rationale
     and in the decision's fallback field.
     """
-    prompt = render_prompt(profile, regulations, state, env)
+    prompt = render_prompt(profile, regulations, state, env, max_step)
     payload = {
         "model": client_config.model,
         "messages": [{"role": "user", "content": prompt}],

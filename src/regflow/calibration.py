@@ -28,6 +28,7 @@ from .dynamics import (
     ModelParameters,
     SystemState,
     _exp,
+    _fmt,
     _integrate_raw,
     _step_count,
     integrate,
@@ -431,7 +432,7 @@ def write_series_csv(obs: ObservedSeries, path) -> None:
         for j in range(len(obs.times)):
             fh.write(
                 ",".join(
-                    format(v, ".17g")
+                    _fmt(v)
                     for v in (obs.times[j], obs.g_obs[j], obs.c_obs[j], obs.m_obs[j], obs.f_obs[j])
                 )
                 + "\n"

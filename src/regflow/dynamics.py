@@ -184,43 +184,114 @@ def eval_derivatives(state: SystemState, p: ModelParameters) -> tuple[float, flo
     """Time derivatives (dg, dc, dm) at a state."""
     _check_state(state)
     _check_parameters(p)
-    deriv = _make_deriv(p)
-    return deriv(state.t, state.g, state.c, state.m)
-
-
-def _make_deriv(p: ModelParameters):
-    """Bind parameters into a fast (t, g, c, m) -> (dg, dc, dm) closure."""
-    a1, a2, a3, a4 = p.alpha1, p.alpha2, p.alpha3, p.alpha4
-    f1, f2, f3, f4 = p.phi1, p.phi2, p.phi3, p.phi4
-    b1, b2, b3 = p.beta1, p.beta2, p.beta3
-    g1, g2 = p.gamma1, p.gamma2
-
-    def deriv(t: float, g: float, c: float, m: float) -> tuple[float, float, float]:
-        f = a4 * (m * (1.0 - _exp(-f4 * c)) / (1.0 + g2 * c))
-        dg = a1 * (1.0 - _exp(-f1 * t)) - b1 * f
-        dc = a2 * g * (1.0 - _exp(-f2 * c)) - b2 * (c / (1.0 + g1 * m))
-        dm = a3 * c * (1.0 - _exp(-f3 * g)) - b3 * m
-        return dg, dc, dm
-
-    return deriv
+    t, g, c, m = state.t, state.g, state.c, state.m
+    f = p.alpha4 * (m * (1.0 - _exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
+    return (
+        p.alpha1 * (1.0 - _exp(-p.phi1 * t)) - p.beta1 * f,
+        p.alpha2 * g * (1.0 - _exp(-p.phi2 * c)) - p.beta2 * (c / (1.0 + p.gamma1 * m)),
+        p.alpha3 * c * (1.0 - _exp(-p.phi3 * g)) - p.beta3 * m,
+    )
 
 
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
 
-def _rk4_once(deriv, t: float, g: float, c: float, m: float, dt: float) -> tuple[float, float, float]:
-    half = 0.5 * dt
-    k1g, k1c, k1m = deriv(t, g, c, m)
-    k2g, k2c, k2m = deriv(t + half, g + half * k1g, c + half * k1c, m + half * k1m)
-    k3g, k3c, k3m = deriv(t + half, g + half * k2g, c + half * k2c, m + half * k2m)
-    k4g, k4c, k4m = deriv(t + dt, g + dt * k3g, c + dt * k3c, m + dt * k3m)
-    sixth = dt / 6.0
-    return (
-        g + sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g),
-        c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
-        m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
-    )
+def _rk4_run(
+    p: ModelParameters,
+    t0: float,
+    g: float,
+    c: float,
+    m: float,
+    h: float,
+    n: int,
+    samples: list | None = None,
+) -> tuple[float, float, float, float, int]:
+    """n clamped classical-RK4 steps of size h from (t0, g, c, m).
+
+    Step k starts at t0 + k*h. After each step negative components are
+    clamped to zero and counted, and a non-finite state raises
+    NumericalError with step_index k. Each step's (g, c, m) is appended to
+    samples when given. Returns (g, c, m, cost, clamps); cost is the
+    left-endpoint quadrature of beta2 * c / (1 + gamma1 * m).
+
+    The stages keep the operation order of eval_derivatives, bit for bit.
+    A step runs on math.exp and is redone with the guarded _exp if
+    math.exp overflows or a stage g or c is negative: only then can an
+    exponent exceed 709, where _exp gives inf but math.exp still gives a
+    finite value up to about 709.78. A negative t0 uses _exp throughout.
+    """
+    a1, a2, a3, a4 = p.alpha1, p.alpha2, p.alpha3, p.alpha4
+    nf1, nf2, nf3, nf4 = -p.phi1, -p.phi2, -p.phi3, -p.phi4
+    b1, b2, b3 = p.beta1, p.beta2, p.beta3
+    g1, g2 = p.gamma1, p.gamma2
+    half = 0.5 * h
+    sixth = h / 6.0
+    exps = (math.exp if t0 >= 0.0 else _exp, _exp)
+    inf = math.inf
+    cost = 0.0
+    clamps = 0
+    for k in range(n):
+        t = t0 + k * h
+        th = t + half
+        for exp in exps:
+            try:
+                # stage 1 at (t, g, c, m); d is also the cost integrand
+                f = a4 * (m * (1.0 - exp(nf4 * c)) / (1.0 + g2 * c))
+                d = b2 * (c / (1.0 + g1 * m))
+                k1g = a1 * (1.0 - exp(nf1 * t)) - b1 * f
+                k1c = a2 * g * (1.0 - exp(nf2 * c)) - d
+                k1m = a3 * c * (1.0 - exp(nf3 * g)) - b3 * m
+                # stages 2 and 3 share the time t + h/2
+                drive = a1 * (1.0 - exp(nf1 * th))
+                sg2 = g + half * k1g
+                sc2 = c + half * k1c
+                sm2 = m + half * k1m
+                f = a4 * (sm2 * (1.0 - exp(nf4 * sc2)) / (1.0 + g2 * sc2))
+                k2g = drive - b1 * f
+                k2c = a2 * sg2 * (1.0 - exp(nf2 * sc2)) - b2 * (sc2 / (1.0 + g1 * sm2))
+                k2m = a3 * sc2 * (1.0 - exp(nf3 * sg2)) - b3 * sm2
+                sg3 = g + half * k2g
+                sc3 = c + half * k2c
+                sm3 = m + half * k2m
+                f = a4 * (sm3 * (1.0 - exp(nf4 * sc3)) / (1.0 + g2 * sc3))
+                k3g = drive - b1 * f
+                k3c = a2 * sg3 * (1.0 - exp(nf2 * sc3)) - b2 * (sc3 / (1.0 + g1 * sm3))
+                k3m = a3 * sc3 * (1.0 - exp(nf3 * sg3)) - b3 * sm3
+                sg4 = g + h * k3g
+                sc4 = c + h * k3c
+                sm4 = m + h * k3m
+                f = a4 * (sm4 * (1.0 - exp(nf4 * sc4)) / (1.0 + g2 * sc4))
+                k4g = a1 * (1.0 - exp(nf1 * (t + h))) - b1 * f
+                k4c = a2 * sg4 * (1.0 - exp(nf2 * sc4)) - b2 * (sc4 / (1.0 + g1 * sm4))
+                k4m = a3 * sc4 * (1.0 - exp(nf3 * sg4)) - b3 * sm4
+            except OverflowError:
+                continue
+            if not (sg2 < 0.0 or sc2 < 0.0 or sg3 < 0.0 or sc3 < 0.0 or sg4 < 0.0 or sc4 < 0.0):
+                break
+        cost += d * h
+        ng = g + sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+        nc = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        nm = m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        if ng < 0.0:
+            ng = 0.0
+            clamps += 1
+        if nc < 0.0:
+            nc = 0.0
+            clamps += 1
+        if nm < 0.0:
+            nm = 0.0
+            clamps += 1
+        # clamped values are >= 0 or nan, so "< inf" is "finite"
+        if not (ng < inf and nc < inf and nm < inf):
+            raise NumericalError(
+                f"non-finite state after RK4 step {k}: g={ng!r} c={nc!r} m={nm!r}",
+                step_index=k,
+            )
+        g, c, m = ng, nc, nm
+        if samples is not None:
+            samples.append((g, c, m))
+    return g, c, m, cost, clamps
 
 
 def _check_dt(dt: float) -> None:
@@ -229,18 +300,15 @@ def _check_dt(dt: float) -> None:
 
 
 def step_rk4(state: SystemState, p: ModelParameters, dt: float) -> SystemState:
-    """One classical RK4 step; components clamped at zero afterwards."""
+    """One classical RK4 step; components clamped at zero afterwards.
+
+    Raises NumericalError (step_index 0) when the step is not finite.
+    """
     _check_dt(dt)
     _check_state(state)
     _check_parameters(p)
-    deriv = _make_deriv(p)
-    g, c, m = _rk4_once(deriv, state.t, state.g, state.c, state.m, dt)
-    return SystemState(
-        t=state.t + dt,
-        g=g if g > 0.0 else 0.0,
-        c=c if c > 0.0 else 0.0,
-        m=m if m > 0.0 else 0.0,
-    )
+    g, c, m, _, _ = _rk4_run(p, state.t, state.g, state.c, state.m, dt, 1)
+    return SystemState(t=state.t + dt, g=g, c=c, m=m)
 
 
 def _integrate_raw(
@@ -252,35 +320,9 @@ def _integrate_raw(
     steps: int,
     dt: float,
 ) -> tuple[list[tuple[float, float, float]], int]:
-    """Core fixed-step loop on plain floats.
-
-    Sample times are reconstructed as t0 + k*dt (not accumulated) so
-    spacing stays exact to machine precision. Returns steps+1 samples
-    and the clamp-event count.
-    """
-    deriv = _make_deriv(p)
+    """steps RK4 steps on plain floats: steps+1 samples and the clamp count."""
     out = [(g0, c0, m0)]
-    clamps = 0
-    g, c, m = g0, c0, m0
-    for k in range(steps):
-        t = t0 + k * dt
-        g, c, m = _rk4_once(deriv, t, g, c, m, dt)
-        if g < 0.0:
-            g = 0.0
-            clamps += 1
-        if c < 0.0:
-            c = 0.0
-            clamps += 1
-        if m < 0.0:
-            m = 0.0
-            clamps += 1
-        if not (math.isfinite(g) and math.isfinite(c) and math.isfinite(m)):
-            raise NumericalError(
-                f"non-finite state after integration step {k}: "
-                f"g={g!r} c={c!r} m={m!r}",
-                step_index=k,
-            )
-        out.append((g, c, m))
+    clamps = _rk4_run(p, t0, g0, c0, m0, dt, steps, out)[4]
     return out, clamps
 
 
@@ -338,29 +380,7 @@ def advance(
         raise ArgumentError(f"substeps must be a positive integer, got {substeps!r}")
     _check_state(state)
     _check_parameters(p)
-    h = dt / substeps
-    deriv = _make_deriv(p)
-    b2, g1 = p.beta2, p.gamma1
-    g, c, m = state.g, state.c, state.m
-    cost = 0.0
-    clamps = 0
-    for k in range(substeps):
-        t = state.t + k * h
-        cost += b2 * (c / (1.0 + g1 * m)) * h
-        g, c, m = _rk4_once(deriv, t, g, c, m, h)
-        if g < 0.0:
-            g = 0.0
-            clamps += 1
-        if c < 0.0:
-            c = 0.0
-            clamps += 1
-        if m < 0.0:
-            m = 0.0
-            clamps += 1
-        if not (math.isfinite(g) and math.isfinite(c) and math.isfinite(m)):
-            raise NumericalError(
-                f"non-finite state after substep {k}", step_index=k
-            )
+    g, c, m, cost, clamps = _rk4_run(p, state.t, state.g, state.c, state.m, dt / substeps, substeps)
     new_state = SystemState(t=state.t + dt, g=g, c=c, m=m)
     f = p.alpha4 * (m * (1.0 - _exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
     return new_state, f, cost, clamps

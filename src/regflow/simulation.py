@@ -41,6 +41,7 @@ from .dynamics import (
     PARAM_FIELDS,
     ModelParameters,
     SystemState,
+    _fmt,
     advance,
     eval_feedback,
 )
@@ -576,10 +577,6 @@ def write_result_json(result: SimulationResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(result_to_json_dict(result), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def write_result_csv(result: SimulationResult, path) -> None:

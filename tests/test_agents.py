@@ -167,6 +167,11 @@ class TestRenderPrompt:
         assert "threshold: 4.0000" in prompt
         assert '"comply": bool' in prompt
 
+    def test_states_the_given_max_step(self):
+        assert "+/-0.05." in render_prompt(DEFAULT_PROFILES[0], STRICT_REGS, STATE, ENV)
+        prompt = render_prompt(DEFAULT_PROFILES[0], STRICT_REGS, STATE, ENV, max_step=0.02)
+        assert "Each adjustment value must lie within +/-0.02." in prompt
+
     def test_length_grows_linearly_with_regulations(self):
         reg = Regulation("r0", "strict", "T", "body text " * 10, "x")
         lengths = []

@@ -2,14 +2,20 @@
 
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regflow.dynamics import (
     DEFAULT_INITIAL_STATE,
+    DEFAULT_PARAM_BOUNDS,
     DEFAULT_PARAMETERS,
+    PARAM_FIELDS,
     ModelParameters,
     SystemState,
+    _integrate_raw,
+    advance,
     eval_derivatives,
     eval_feedback,
     integrate,
@@ -235,6 +241,209 @@ class TestIntegrate:
         with pytest.raises(NumericalError) as err:
             integrate(SystemState(0.0, 1.0, 1.0, 1.0), p, 1.0, 0.5)
         assert err.value.step_index is not None
+
+
+# ---------------------------------------------------------------------------
+# reference RK4: a derivative closure called once per stage, as plainly as
+# possible. The integration kernel must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def ref_exp(x):
+    return math.inf if x > 709.0 else math.exp(x)
+
+
+def ref_deriv(p):
+    def deriv(t, g, c, m):
+        f = p.alpha4 * (m * (1.0 - ref_exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
+        dg = p.alpha1 * (1.0 - ref_exp(-p.phi1 * t)) - p.beta1 * f
+        dc = p.alpha2 * g * (1.0 - ref_exp(-p.phi2 * c)) - p.beta2 * (c / (1.0 + p.gamma1 * m))
+        dm = p.alpha3 * c * (1.0 - ref_exp(-p.phi3 * g)) - p.beta3 * m
+        return dg, dc, dm
+
+    return deriv
+
+
+def ref_rk4_once(deriv, t, g, c, m, dt):
+    half = 0.5 * dt
+    k1g, k1c, k1m = deriv(t, g, c, m)
+    k2g, k2c, k2m = deriv(t + half, g + half * k1g, c + half * k1c, m + half * k1m)
+    k3g, k3c, k3m = deriv(t + half, g + half * k2g, c + half * k2c, m + half * k2m)
+    k4g, k4c, k4m = deriv(t + dt, g + dt * k3g, c + dt * k3c, m + dt * k3m)
+    sixth = dt / 6.0
+    return (
+        g + sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g),
+        c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
+        m + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
+    )
+
+
+def ref_run(p, t0, g, c, m, h, n):
+    """(states after each step, cost, clamps); NumericalError(step_index=k)
+    when step k ends non-finite."""
+    deriv = ref_deriv(p)
+    states, cost, clamps = [], 0.0, 0
+    for k in range(n):
+        cost += p.beta2 * (c / (1.0 + p.gamma1 * m)) * h
+        g, c, m = ref_rk4_once(deriv, t0 + k * h, g, c, m, h)
+        if g < 0.0:
+            g, clamps = 0.0, clamps + 1
+        if c < 0.0:
+            c, clamps = 0.0, clamps + 1
+        if m < 0.0:
+            m, clamps = 0.0, clamps + 1
+        if not (math.isfinite(g) and math.isfinite(c) and math.isfinite(m)):
+            raise NumericalError("reference step not finite", step_index=k)
+        states.append((g, c, m))
+    return states, cost, clamps
+
+
+def ref_feedback(p, c, m):
+    return p.alpha4 * (m * (1.0 - ref_exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
+
+
+def bits(*xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+def outcome(fn, *args):
+    """fn's result, or ("NumericalError", step_index) when it raises one."""
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return ("NumericalError", exc.step_index)
+
+
+def ref_advance(state, p, dt, substeps):
+    states, cost, clamps = ref_run(p, state.t, state.g, state.c, state.m, dt / substeps, substeps)
+    g, c, m = states[-1]
+    return bits(state.t + dt, g, c, m, ref_feedback(p, c, m), cost), clamps
+
+
+def kernel_advance(state, p, dt, substeps):
+    new, f, cost, clamps = advance(state, p, dt, substeps)
+    return bits(new.t, new.g, new.c, new.m, f, cost), clamps
+
+
+def ref_integrate(state, p, steps, dt):
+    states, _, clamps = ref_run(p, state.t, state.g, state.c, state.m, dt, steps)
+    rows = [(state.g, state.c, state.m)] + states
+    return [
+        bits(state.t + k * dt, g, c, m, ref_feedback(p, c, m)) for k, (g, c, m) in enumerate(rows)
+    ], clamps
+
+
+def kernel_integrate(state, p, steps, dt):
+    traj = integrate(state, p, steps * dt, dt)
+    assert len(traj) == steps + 1
+    return [bits(s.t, s.g, s.c, s.m, f) for s, f in traj.samples], traj.clamp_events
+
+
+def ref_step(state, p, dt):
+    (g, c, m), = ref_run(p, state.t, state.g, state.c, state.m, dt, 1)[0]
+    return bits(state.t + dt, g, c, m)
+
+
+def kernel_step(state, p, dt):
+    s = step_rk4(state, p, dt)
+    return bits(s.t, s.g, s.c, s.m)
+
+
+def ref_integrate_raw(t0, g, c, m, p, steps, dt):
+    states, _, clamps = ref_run(p, t0, g, c, m, dt, steps)
+    return [bits(*row) for row in [(g, c, m)] + states], clamps
+
+
+def kernel_integrate_raw(t0, g, c, m, p, steps, dt):
+    rows, clamps = _integrate_raw(t0, g, c, m, p, steps, dt)
+    return [bits(*row) for row in rows], clamps
+
+
+def coefficient(name):
+    lo, hi = DEFAULT_PARAM_BOUNDS[name]
+    return st.one_of(st.just(lo), st.floats(lo, hi))
+
+
+params_st = st.builds(ModelParameters, **{name: coefficient(name) for name in PARAM_FIELDS})
+component_st = st.floats(0.0, 3.0)
+state_st = st.builds(SystemState, component_st, component_st, component_st, component_st)
+dt_st = st.floats(0.001, 4.0)
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(state=state_st, p=params_st, dt=dt_st, substeps=st.integers(1, 50))
+    def test_advance(self, state, p, dt, substeps):
+        assert outcome(kernel_advance, state, p, dt, substeps) == outcome(
+            ref_advance, state, p, dt, substeps
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=state_st, p=params_st, dt=dt_st, steps=st.integers(1, 50))
+    def test_integrate(self, state, p, dt, steps):
+        assert outcome(kernel_integrate, state, p, steps, dt) == outcome(
+            ref_integrate, state, p, steps, dt
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=state_st, p=params_st, dt=dt_st)
+    def test_step_rk4(self, state, p, dt):
+        assert outcome(kernel_step, state, p, dt) == outcome(ref_step, state, p, dt)
+
+    @pytest.mark.parametrize(
+        "p, state, dt, substeps, clamps",
+        [
+            # inhibitory feedback drags g through zero over several substeps
+            (ModelParameters(alpha4=1.0, phi4=5.0, beta1=1.0), SystemState(0.0, 0.5, 1.0, 1.0), 2.0, 20, 15),
+            # one long step overshoots all three components below zero
+            (
+                ModelParameters(
+                    alpha2=1.718, alpha3=0.994, alpha4=1.666, phi1=1.808, phi2=1.942, phi3=0.905,
+                    phi4=1.52, beta1=1.996, beta2=0.63, beta3=0.152, gamma1=0.559,
+                ),
+                SystemState(0.0, 0.92, 2.97, 2.8), 1.0, 1, 3,
+            ),
+        ],
+    )
+    def test_clamping_cases(self, p, state, dt, substeps, clamps):
+        got = kernel_advance(state, p, dt, substeps)
+        assert got == ref_advance(state, p, dt, substeps)
+        assert got[1] == clamps
+        assert outcome(kernel_integrate, state, p, substeps, dt / substeps) == ref_integrate(
+            state, p, substeps, dt / substeps
+        )
+
+    @pytest.mark.parametrize("substeps", [1, 2, 7])
+    def test_overflow_raises_with_reference_step_index(self, substeps):
+        p = ModelParameters(alpha2=1e308, phi2=1.0)
+        state = SystemState(0.0, 1.0, 1.0, 1.0)
+        expected = outcome(ref_advance, state, p, 0.5, substeps)
+        assert expected[0] == "NumericalError"
+        assert outcome(kernel_advance, state, p, 0.5, substeps) == expected
+        assert outcome(kernel_integrate, state, p, substeps, 0.5) == outcome(
+            ref_integrate, state, p, substeps, 0.5
+        )
+        assert outcome(kernel_step, state, p, 0.5) == outcome(ref_step, state, p, 0.5)
+
+    def test_exponent_between_709_and_overflow(self):
+        # stage 2 puts g at about -709.4, so exp(-phi3 * g) is finite for
+        # math.exp but inf for the guarded exp, and only inf makes the step
+        # non-finite; a kernel that fell back only on OverflowError would
+        # return a finite state here
+        p = ModelParameters(alpha3=1e-300, alpha4=1.0, phi3=1.0, phi4=1.0, beta1=1.0)
+        state = SystemState(0.0, 1.0, 1.0, 1.0)
+        dt = 2.0 * 710.4 / (1.0 - math.exp(-1.0))
+        expected = outcome(ref_advance, state, p, dt, 1)
+        assert expected == ("NumericalError", 0)
+        assert outcome(kernel_advance, state, p, dt, 1) == expected
+
+    def test_negative_start_time_uses_guarded_exp(self):
+        # calibration integrates from the first observed time, which may be
+        # negative; exp(-phi1 * t) then sits in the same window
+        p = ModelParameters(alpha1=1e-310, phi1=1.0, beta3=1.0)
+        for t0 in (-709.5, -709.0, -100.0):
+            assert outcome(kernel_integrate_raw, t0, 1.0, 1.0, 1.0, p, 3, 0.25) == outcome(
+                ref_integrate_raw, t0, 1.0, 1.0, 1.0, p, 3, 0.25
+            )
 
 
 class TestCsvExport:

@@ -57,6 +57,12 @@ class TestLlmPolicy:
         assert body["messages"][0]["role"] == "user"
         assert REGS[0].id in body["messages"][0]["content"]
 
+    def test_request_prompt_states_the_callers_max_step(self):
+        with StubLLMServer(behavior="reply", reply_content=GOOD_REPLY) as server:
+            llm_policy_decide(PROFILE, REGS, STATE, ENV, client_for(server), max_step=0.02)
+            body = json.loads(server.request_bodies[0])
+        assert "within +/-0.02." in body["messages"][0]["content"]
+
     def test_out_of_range_scores_clipped(self):
         reply = json.dumps(
             {
