@@ -1,16 +1,16 @@
 """Least-squares estimation of the 13 model coefficients.
 
-The objective integrates the coupled system from the first observed row and
-sums squared residuals of the predicted g, c, m, and feedback series against
-the observations:
+The residuals are observed minus predicted g, c, m and feedback at each
+observed time, integrating from the first observed row; the objective is
 
     total = e_g + e_c + e_m + e_f,   e_x = sum_t (x_obs(t) - x_pred(t))^2
 
-Minimization is derivative-free: a Nelder-Mead simplex with projection onto
-the per-field box, optionally repeated from uniform random restart points.
-The objective passes through an RK4 integration, so finite-difference
-gradients would be dominated by integration noise; the simplex sidesteps
-that entirely. Everything is deterministic for a fixed seed.
+A projected Levenberg-Marquardt minimizes it inside the per-field box,
+optionally also from seeded random restart points. Fixed-step RK4 makes
+the prediction a smooth, deterministic function of the coefficients
+wherever no state is clamped at zero, so a forward-difference Jacobian
+is accurate to about sqrt(machine epsilon). Everything is deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .dynamics import (
     PARAM_FIELDS,
     ModelParameters,
     SystemState,
+    _check_bound,
     _exp,
     _fmt,
     _integrate_raw,
@@ -113,11 +114,17 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# objective
+# residuals and objective
 # ---------------------------------------------------------------------------
 
-def _residual_indices(obs: ObservedSeries, dt: float, steps: int) -> list[int]:
+def _prepare(obs: ObservedSeries, dt: float) -> tuple[int, list[int]]:
+    """Check the series and dt; return what every residual evaluation
+    shares: the step count and the sample index of each observed row."""
+    _check_series(obs)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ArgumentError(f"dt must be positive, got {dt!r}")
     t0 = obs.times[0]
+    steps = _step_count(obs.times[-1] - t0, dt)
     idxs = []
     for j, tj in enumerate(obs.times):
         idx = int(round((tj - t0) / dt))
@@ -126,7 +133,29 @@ def _residual_indices(obs: ObservedSeries, dt: float, steps: int) -> list[int]:
                 f"observed time {tj} (row {j}) falls outside the integration horizon"
             )
         idxs.append(idx)
-    return idxs
+    return steps, idxs
+
+
+def _residuals(p: ModelParameters, obs: ObservedSeries, dt: float, prep) -> tuple[list[float], ...]:
+    """Observed minus predicted g, c, m and f at each observed time.
+
+    Integrates from the first observed row; each observed time is snapped
+    to the nearest integration sample (error at most dt/2). Returns four
+    lists, g, c, m and f, each in row order; prep comes from _prepare.
+    """
+    steps, idxs = prep
+    raw, _ = _integrate_raw(obs.times[0], obs.g_obs[0], obs.c_obs[0], obs.m_obs[0], p, steps, dt)
+    a4, f4, g2 = p.alpha4, p.phi4, p.gamma2
+    pred = [raw[idx] for idx in idxs]
+    return (
+        [o - g for o, (g, _, _) in zip(obs.g_obs, pred)],
+        [o - c for o, (_, c, _) in zip(obs.c_obs, pred)],
+        [o - m for o, (_, _, m) in zip(obs.m_obs, pred)],
+        [
+            o - a4 * (m * (1.0 - _exp(-f4 * c)) / (1.0 + g2 * c))
+            for o, (_, c, m) in zip(obs.f_obs, pred)
+        ],
+    )
 
 
 def objective(
@@ -136,147 +165,105 @@ def objective(
 ) -> tuple[float, tuple[float, float, float, float]]:
     """Sum of squared residuals of a prediction against observations.
 
-    Integrates from the first observed row; each observed time is snapped
-    to the nearest integration sample (error at most dt/2). Returns the
-    total and the per-variable components (e_g, e_c, e_m, e_f).
+    Returns the total and the per-variable components (e_g, e_c, e_m, e_f)
+    of the residuals from _residuals, each summed in row order.
     """
-    _check_series(obs)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ArgumentError(f"dt must be positive, got {dt!r}")
-    t0 = obs.times[0]
-    horizon = obs.times[-1] - t0
-    steps = max(_step_count(horizon, dt), 1)
-    idxs = _residual_indices(obs, dt, steps)
-    raw, _ = _integrate_raw(t0, obs.g_obs[0], obs.c_obs[0], obs.m_obs[0], p, steps, dt)
-    a4, f4, g2 = p.alpha4, p.phi4, p.gamma2
-    e_g = e_c = e_m = e_f = 0.0
-    for j, idx in enumerate(idxs):
-        g, c, m = raw[idx]
-        f = a4 * (m * (1.0 - _exp(-f4 * c)) / (1.0 + g2 * c))
-        e_g += (obs.g_obs[j] - g) ** 2
-        e_c += (obs.c_obs[j] - c) ** 2
-        e_m += (obs.m_obs[j] - m) ** 2
-        e_f += (obs.f_obs[j] - f) ** 2
+    components = []
+    for row in _residuals(p, obs, dt, _prepare(obs, dt)):
+        e = 0.0
+        for v in row:
+            e += v ** 2
+        components.append(e)
+    e_g, e_c, e_m, e_f = components
     return e_g + e_c + e_m + e_f, (e_g, e_c, e_m, e_f)
 
 
 # ---------------------------------------------------------------------------
-# Nelder-Mead simplex with box projection
+# projected Levenberg-Marquardt
 # ---------------------------------------------------------------------------
 
-def _nelder_mead_box(fn, x0, lo, hi, max_iter: int, tol: float, step):
-    """Simplex minimization of fn over the box [lo, hi].
+_EPS = float(np.finfo(float).eps)
+# Forward-difference step relative to max(|x|, 1): sqrt(eps) balances the
+# truncation error of the difference against the rounding error of it.
+_FD_STEP = math.sqrt(_EPS)
+# Past this damping a step moves x by less than its rounding error.
+_MAX_DAMPING = 1e16
 
-    Every trial point is projected onto the box. Uses dimension-adaptive
-    expansion/contraction coefficients, which behave much better than the
-    classic constants in a dozen dimensions. Terminates when the vertex
-    objective spread or the vertex coordinate spread drops below tol.
+
+def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
+    """Minimize the sum of squares of resid(x) over the box [lo, hi].
+
+    resid(x) returns the residual vector; a non-finite entry marks a point
+    the model cannot evaluate. An iteration builds a forward-difference
+    Jacobian (one resid call per coordinate, stepping backward at the
+    upper bound), holds coordinates that sit on a bound with the gradient
+    pointing out of the box, and tries damped Gauss-Newton steps clipped to
+    the box until one lowers the sum. The damping scales the running
+    maximum of the column norms (Moré 1978) and follows Nielsen's update;
+    the damped system is solved by least squares, so a singular JᵀJ gives
+    a minimum-norm step.
+
+    Converged: the sum is at or below tol (tested at x0 first, so a start
+    that meets it costs one resid call), or no step lowers it any more
+    (the clipped step leaves x unchanged or the damping passes
+    _MAX_DAMPING). Not converged: max_iter iterations used, or resid(x0)
+    not finite (returned with sum inf). iterations counts the Jacobians
+    built.
 
     Returns (x_best, f_best, iterations, converged).
     """
-    n = len(x0)
-    rho = 1.0
-    chi = 1.0 + 2.0 / n
-    psi = 0.75 - 1.0 / (2.0 * n)
-    sigma = 1.0 - 1.0 / n
-
-    def clip(x):
-        return np.minimum(np.maximum(x, lo), hi)
-
-    x0 = clip(np.asarray(x0, dtype=float))
-    vertices = [x0]
-    for i in range(n):
-        xi = x0.copy()
-        if xi[i] + step[i] <= hi[i]:
-            xi[i] += step[i]
-        else:
-            xi[i] -= step[i]
-        vertices.append(clip(xi))
-    simplex = np.array(vertices)
-    fvals = np.array([fn(x) for x in simplex])
-
-    iters = 0
-    converged = False
-    while True:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
-        # when every vertex diverged the objective spread is meaningless;
-        # only the coordinate spread can end the search then
-        fspread = math.inf if math.isinf(fvals[0]) else fvals[-1] - fvals[0]
-        if fspread < tol or np.max(np.abs(simplex[1:] - simplex[0])) < tol:
-            converged = True
-            break
-        if iters >= max_iter:
-            break
-        iters += 1
-
-        centroid = simplex[:-1].mean(axis=0)
-        xr = clip(centroid + rho * (centroid - simplex[-1]))
-        fr = fn(xr)
-        if fr < fvals[0]:
-            xe = clip(centroid + chi * (xr - centroid))
-            fe = fn(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            if fr < fvals[-1]:
-                xc = clip(centroid + psi * (xr - centroid))
-                fc = fn(xc)
-                shrink = fc > fr
-            else:
-                xc = clip(centroid + psi * (simplex[-1] - centroid))
-                fc = fn(xc)
-                shrink = fc >= fvals[-1]
-            if shrink:
-                for i in range(1, n + 1):
-                    simplex[i] = clip(simplex[0] + sigma * (simplex[i] - simplex[0]))
-                    fvals[i] = fn(simplex[i])
-            else:
-                simplex[-1], fvals[-1] = xc, fc
-
-    best = int(np.argmin(fvals))
-    return simplex[best], float(fvals[best]), iters, converged
-
-
-_INITIAL_STEP_FRACTION = 0.05
-_REBUILD_SHRINK = 0.25
-
-
-def _minimize_from(fn, x0, lo, hi, max_iter: int, tol: float):
-    """One optimization start: simplex runs with rebuilds around the best
-    point until the iteration budget is exhausted or improvement stops.
-
-    A collapsed simplex can converge far from a minimum; rebuilding a
-    smaller simplex at the best point and continuing is the standard
-    remedy and keeps everything deterministic.
-    """
-    span = np.asarray(hi, float) - np.asarray(lo, float)
-    best_x = np.minimum(np.maximum(np.asarray(x0, float), lo), hi)
-    best_f = fn(best_x)
-    total_iters = 0
-    converged = best_f <= tol
-    if converged:
-        return best_x, best_f, total_iters, True
-    rel = _INITIAL_STEP_FRACTION
-    remaining = max_iter
-    while remaining > 0:
-        step = np.maximum(rel * span, 1e-9)
-        x, f, iters, conv = _nelder_mead_box(fn, best_x, lo, hi, remaining, tol, step)
-        total_iters += max(iters, 1)
-        remaining -= max(iters, 1)
-        converged = conv
-        improved = f < best_f - tol
-        if f < best_f:
-            best_x, best_f = x, f
-        if best_f <= tol or not improved:
-            break
-        rel *= _REBUILD_SHRINK
-    return best_x, best_f, total_iters, converged
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = resid(x)
+    f = float(r @ r)
+    if f <= tol:
+        return x, f, 0, True
+    if not math.isfinite(f):
+        return x, math.inf, 0, False
+    n = len(x)
+    scale = np.zeros(n)
+    lam, grow = 1e-3, 2.0
+    for it in range(1, max_iter + 1):
+        jac = np.zeros((len(r), n))
+        for j in range(n):
+            h = _FD_STEP * max(abs(x[j]), 1.0)
+            if x[j] + h > hi[j]:
+                h = -h
+                if x[j] + h < lo[j]:
+                    continue
+            probe = x.copy()
+            probe[j] += h
+            r_j = resid(probe)
+            if np.all(np.isfinite(r_j)):
+                jac[:, j] = (r_j - r) / h
+        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+        grad = jac.T @ r
+        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
+        diag = np.where(scale > 0.0, scale, 1.0)[free]
+        rhs = np.concatenate([-r, np.zeros(len(diag))])
+        step = np.zeros(n)
+        while True:
+            damped = np.vstack([jac[:, free], np.diag(math.sqrt(lam) * diag)])
+            step[free] = np.linalg.lstsq(damped, rhs, rcond=None)[0]
+            x_new = np.clip(x + step, lo, hi)
+            if lam > _MAX_DAMPING or np.array_equal(x_new, x):
+                return x, f, it, True
+            r_new = resid(x_new)
+            f_new = float(r_new @ r_new)
+            if f_new < f:
+                break
+            lam *= grow
+            grow *= 2.0
+        drop = f - f_new
+        model = r + jac @ (x_new - x)
+        predicted = f - float(model @ model)
+        gain = drop / predicted if predicted > 0.0 else 0.0
+        # the floor keeps a later rejection able to raise the damping
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _EPS)
+        grow = 2.0
+        x, r, f = x_new, r_new, f_new
+        if f <= tol:
+            return x, f, it, True
+    return x, f, max_iter, False
 
 
 def _check_bounds(bounds: dict[str, tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -285,12 +272,7 @@ def _check_bounds(bounds: dict[str, tuple[float, float]]) -> tuple[np.ndarray, n
     for i, name in enumerate(PARAM_FIELDS):
         if name not in bounds:
             raise ArgumentError(f"bounds missing field {name}")
-        lo_i, hi_i = bounds[name]
-        if not (math.isfinite(lo_i) and math.isfinite(hi_i)):
-            raise ArgumentError(f"bounds for {name} must be finite")
-        if lo_i < 0.0 or lo_i > hi_i:
-            raise ArgumentError(f"bounds for {name} must satisfy 0 <= lo <= hi")
-        lo[i], hi[i] = lo_i, hi_i
+        lo[i], hi[i] = _check_bound(name, bounds[name])
     return lo, hi
 
 
@@ -301,15 +283,21 @@ def fit(
     options: FitOptions | None = None,
     dt: float = 0.05,
 ) -> FitResult:
-    """Minimize the objective over the 13-dimensional parameter box.
+    """Least-squares fit of the 13 coefficients inside a box.
 
-    Runs one start from initial_guess plus options.restarts starts from
-    uniform random points in the box (seeded). Each start gets up to
-    options.max_iter simplex iterations. Restarts are skipped once the
-    best objective is at or below options.tol; the best result wins, ties
-    broken in favor of the earliest start.
+    One projected Levenberg-Marquardt start from initial_guess, then up to
+    options.restarts starts from uniform random points in the box (seeded
+    by options.seed), skipped once the best objective is at or below
+    options.tol. The best start wins, ties going to the earliest.
+
+    A start converges when its objective is at or below options.tol or no
+    step inside the box lowers it further; it stops unconverged after
+    options.max_iter iterations, or at once when the integration diverges
+    at its starting point. An iteration is one forward-difference Jacobian
+    (13 integrations) plus its trial steps; `iterations` sums them over
+    all starts run, and `converged` is the winning start's.
     """
-    _check_series(obs)
+    prep = _prepare(obs, dt)
     opts = options or FitOptions()
     if opts.max_iter < 1:
         raise ArgumentError("max_iter must be >= 1")
@@ -322,54 +310,30 @@ def fit(
     if np.any(x_guess < lo) or np.any(x_guess > hi):
         raise ArgumentError("initial_guess lies outside the bounds box")
 
-    t0 = obs.times[0]
-    horizon = obs.times[-1] - t0
-    steps = max(_step_count(horizon, dt), 1)
-    idxs = _residual_indices(obs, dt, steps)
-    g0, c0, m0 = obs.g_obs[0], obs.c_obs[0], obs.m_obs[0]
-    obs_g, obs_c, obs_m, obs_f = obs.g_obs, obs.c_obs, obs.m_obs, obs.f_obs
-
-    def fn(x) -> float:
-        # exploratory simplex points may sit in a diverging corner of the
-        # box; score them as +inf so the simplex backs away instead of
-        # aborting the whole fit. Plain floats keep the integration kernel
-        # off numpy scalar arithmetic.
-        p = ModelParameters(*(float(v) for v in x))
+    def resid(x):
+        # a point in a diverging corner of the box gets infinite residuals,
+        # so the optimizer backs away instead of aborting the whole fit
         try:
-            raw, _ = _integrate_raw(t0, g0, c0, m0, p, steps, dt)
-            a4, f4, g2 = p.alpha4, p.phi4, p.gamma2
-            e = 0.0
-            for j, idx in enumerate(idxs):
-                g, c, m = raw[idx]
-                f = a4 * (m * (1.0 - _exp(-f4 * c)) / (1.0 + g2 * c))
-                e += (
-                    (obs_g[j] - g) ** 2
-                    + (obs_c[j] - c) ** 2
-                    + (obs_m[j] - m) ** 2
-                    + (obs_f[j] - f) ** 2
-                )
+            return np.ravel(_residuals(ModelParameters(*x.tolist()), obs, dt, prep))
         except (NumericalError, OverflowError):
-            return math.inf
-        return e
+            return np.full(4 * len(obs), math.inf)
 
     rng = random.Random(opts.seed)
-    best_x, best_f, best_conv = None, math.inf, False
-    total_iters = 0
+    best_x, best_f, total_iters, best_conv = _levenberg_marquardt(
+        resid, x_guess, lo, hi, opts.max_iter, opts.tol
+    )
     restarts_used = 0
-    x, f, iters, conv = _minimize_from(fn, x_guess, lo, hi, opts.max_iter, opts.tol)
-    total_iters += iters
-    best_x, best_f, best_conv = x, f, conv
     for _ in range(opts.restarts):
         if best_f <= opts.tol:
             break
         x0_r = np.array([rng.uniform(lo[i], hi[i]) for i in range(len(PARAM_FIELDS))])
         restarts_used += 1
-        x, f, iters, conv = _minimize_from(fn, x0_r, lo, hi, opts.max_iter, opts.tol)
+        x, f, iters, conv = _levenberg_marquardt(resid, x0_r, lo, hi, opts.max_iter, opts.tol)
         total_iters += iters
         if f < best_f:
             best_x, best_f, best_conv = x, f, conv
 
-    params = ModelParameters(*(float(v) for v in best_x))
+    params = ModelParameters(*best_x.tolist())
     total, components = objective(params, obs, dt)
     return FitResult(
         params=params,

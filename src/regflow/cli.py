@@ -39,11 +39,11 @@ from .calibration import (
 from .corpus import build_default_corpus, corpus_to_json_list, load_corpus
 from .dynamics import (
     DEFAULT_INITIAL_STATE,
-    DEFAULT_PARAM_BOUNDS,
     DEFAULT_PARAMETERS,
     PARAM_FIELDS,
     ModelParameters,
     SystemState,
+    _bounds_from_json,
 )
 from .errors import ArgumentError, NumericalError
 from .simulation import (
@@ -240,22 +240,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-def _bounds_from_file(path: str | None) -> dict[str, tuple[float, float]]:
-    bounds = dict(DEFAULT_PARAM_BOUNDS)
-    if path is None:
-        return bounds
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ArgumentError(f"bounds file {path} must hold a JSON object")
-    for name, pair in data.items():
-        if name not in PARAM_FIELDS:
-            raise ArgumentError(f"bounds file names unknown parameter {name!r}")
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ArgumentError(f"bounds for {name} must be [lo, hi]")
-        bounds[name] = (float(pair[0]), float(pair[1]))
-    return bounds
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     obs = read_series_csv(args.obs)
     guess = DEFAULT_PARAMETERS
@@ -264,7 +248,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         if not isinstance(data, dict):
             raise ArgumentError(f"guess file {args.guess} must hold a JSON object")
         guess = _params_from_dict(data)
-    bounds = _bounds_from_file(args.bounds)
+    bounds = None
+    if args.bounds is not None:
+        bounds = _bounds_from_json(_load_json(args.bounds), f"bounds file {args.bounds}")
     options = FitOptions(
         max_iter=args.max_iter, tol=args.tol, restarts=args.restarts, seed=args.seed
     )
@@ -454,7 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--guess", default=None, help="initial-guess JSON")
     cal.add_argument("--bounds", default=None, help="per-field bounds JSON")
     cal.add_argument("--out", default=".", help="output directory")
-    cal.add_argument("--max-iter", type=int, default=2000)
+    cal.add_argument(
+        "--max-iter",
+        type=int,
+        default=2000,
+        help="Levenberg-Marquardt iterations per start; each builds one 13-column Jacobian",
+    )
     cal.add_argument("--tol", type=float, default=1e-10)
     cal.add_argument("--restarts", type=int, default=0)
     cal.add_argument("--seed", type=int, default=0)

@@ -23,6 +23,7 @@ here are pure; identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .errors import ArgumentError, DomainError, NumericalError
@@ -157,6 +158,36 @@ def _check_state(s: SystemState) -> None:
             raise DomainError(f"state field {name} is not finite: {v!r}")
         if v < 0.0:
             raise DomainError(f"state field {name} must be >= 0, got {v!r}")
+
+
+def _check_bound(name: str, pair) -> tuple[float, float]:
+    """One coefficient's box as floats; ArgumentError unless pair holds two
+    finite numbers with 0 <= lo <= hi."""
+    try:
+        lo, hi = (
+            float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
+            for v in pair
+        )
+    except (TypeError, ValueError, OverflowError):
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
+        raise ArgumentError(
+            f"bounds for {name} must be [lo, hi], finite numbers with 0 <= lo <= hi, got {pair!r}"
+        )
+    return lo, hi
+
+
+def _bounds_from_json(data, where: str) -> dict[str, tuple[float, float]]:
+    """DEFAULT_PARAM_BOUNDS overlaid with a JSON object {name: [lo, hi]},
+    each pair checked by _check_bound; `where` names the source in errors."""
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{where} must be a JSON object of name: [lo, hi]")
+    bounds = dict(DEFAULT_PARAM_BOUNDS)
+    for name, pair in data.items():
+        if name not in PARAM_FIELDS:
+            raise ArgumentError(f"{where} names unknown parameter {name!r}")
+        bounds[name] = _check_bound(name, pair)
+    return bounds
 
 
 def _exp(x: float) -> float:

@@ -41,6 +41,7 @@ from .dynamics import (
     PARAM_FIELDS,
     ModelParameters,
     SystemState,
+    _bounds_from_json,
     _fmt,
     advance,
     eval_feedback,
@@ -466,11 +467,8 @@ def _config_to_dict(config: SimulationConfig) -> dict:
 def _config_from_dict(data: dict) -> SimulationConfig:
     sched = data.get("schedule", {})
     thr = data.get("threshold", {})
-    bounds = dict(DEFAULT_PARAM_BOUNDS)
-    for name, pair in (data.get("param_bounds") or {}).items():
-        if name not in PARAM_FIELDS:
-            raise ArgumentError(f"param_bounds names unknown field {name!r}")
-        bounds[name] = (float(pair[0]), float(pair[1]))
+    bounds_raw = data.get("param_bounds")
+    bounds = _bounds_from_json({} if bounds_raw is None else bounds_raw, "param_bounds")
     llm_raw = data.get("llm")
     return SimulationConfig(
         total_steps=int(data.get("total_steps", 73)),

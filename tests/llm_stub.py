@@ -31,6 +31,13 @@ class _Handler(BaseHTTPRequestHandler):
         if behavior == "sleep":
             time.sleep(server.sleep_s)
             behavior = "reply"
+        try:
+            self._respond(behavior)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client timed out and hung up before the reply
+
+    def _respond(self, behavior: str):
+        server = self.server
         if behavior == "http_error":
             self.send_response(500)
             self.send_header("Content-Length", "0")

@@ -1,4 +1,4 @@
-"""Calibration: objective residuals, simplex fitting, synthetic data."""
+"""Calibration: objective residuals, Levenberg-Marquardt fitting, synthetic data."""
 
 import math
 import statistics
@@ -6,11 +6,13 @@ import statistics
 import numpy as np
 import pytest
 
+from regflow import calibration
 from regflow.calibration import (
     FitOptions,
     ObservedSeries,
-    _minimize_from,
-    _nelder_mead_box,
+    _levenberg_marquardt,
+    _prepare,
+    _residuals,
     fit,
     generate_synthetic,
     objective,
@@ -18,14 +20,18 @@ from regflow.calibration import (
     write_series_csv,
 )
 from regflow.dynamics import (
+    DEFAULT_PARAM_BOUNDS,
     DEFAULT_PARAMETERS,
     PARAM_FIELDS,
     ModelParameters,
     SystemState,
+    _exp,
+    _integrate_raw,
+    _step_count,
     eval_feedback,
     integrate,
 )
-from regflow.errors import ArgumentError
+from regflow.errors import ArgumentError, NumericalError
 
 TRUE_PARAMS = ModelParameters(
     alpha1=0.6, alpha2=0.5, alpha3=0.4, alpha4=0.8,
@@ -83,6 +89,24 @@ class TestObjective:
         for perm in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)):
             assert total == pytest.approx(sum(comps[i] for i in perm), rel=1e-9)
 
+    def test_matches_row_loop_reference_bit_for_bit(self):
+        # reference: the four sums accumulated in one plain loop over rows
+        obs = make_noiseless_obs()
+        steps = _step_count(obs.times[-1] - obs.times[0], 0.05)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            p = ModelParameters(*(float(v) for v in rng.uniform(0.0, 2.0, len(PARAM_FIELDS))))
+            raw, _ = _integrate_raw(0.0, 0.4, 0.3, 0.2, p, steps, 0.05)
+            e_g = e_c = e_m = e_f = 0.0
+            for j, t in enumerate(obs.times):
+                g, c, m = raw[int(round(t / 0.05))]
+                f = p.alpha4 * (m * (1.0 - _exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
+                e_g += (obs.g_obs[j] - g) ** 2
+                e_c += (obs.c_obs[j] - c) ** 2
+                e_m += (obs.m_obs[j] - m) ** 2
+                e_f += (obs.f_obs[j] - f) ** 2
+            assert objective(p, obs, 0.05) == (e_g + e_c + e_m + e_f, (e_g, e_c, e_m, e_f))
+
     def test_too_short_series_rejected(self):
         with pytest.raises(ArgumentError):
             objective(
@@ -100,33 +124,29 @@ class TestObjective:
             )
 
 
-class TestSimplex:
+class TestLevenbergMarquardt:
     def test_quadratic_bowl(self):
-        fn = lambda x: float(np.sum((x - 0.5) ** 2))
+        resid = lambda x: x - 0.5
         lo, hi = np.zeros(4), np.ones(4)
-        x, f, iters, conv = _nelder_mead_box(
-            fn, np.full(4, 0.9), lo, hi, 500, 1e-12, np.full(4, 0.05)
-        )
+        x, f, iters, conv = _levenberg_marquardt(resid, np.full(4, 0.9), lo, hi, 500, 1e-12)
         assert conv
         assert f < 1e-10
         assert np.allclose(x, 0.5, atol=1e-4)
 
     def test_minimum_on_box_face(self):
         # unconstrained minimum at -1 lies outside; projection pins x at 0
-        fn = lambda x: float(np.sum((x + 1.0) ** 2))
+        resid = lambda x: x + 1.0
         lo, hi = np.zeros(3), np.full(3, 5.0)
-        x, f, _, _ = _minimize_from(fn, np.full(3, 2.0), lo, hi, 500, 1e-12)
+        x, f, _, _ = _levenberg_marquardt(resid, np.full(3, 2.0), lo, hi, 500, 1e-12)
         assert np.all(x >= lo) and np.all(x <= hi)
         assert np.allclose(x, 0.0, atol=1e-6)
 
-    def test_rosenbrock_with_rebuilds(self):
-        def rosen(x):
-            return float(
-                sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1 - x[i]) ** 2 for i in range(len(x) - 1))
-            )
+    def test_rosenbrock(self):
+        def resid(x):
+            return np.concatenate([10.0 * (x[1:] - x[:-1] ** 2), 1.0 - x[:-1]])
 
         lo, hi = np.full(4, 0.0), np.full(4, 2.0)
-        x, f, iters, conv = _minimize_from(rosen, np.full(4, 0.2), lo, hi, 4000, 1e-12)
+        x, f, iters, conv = _levenberg_marquardt(resid, np.full(4, 0.2), lo, hi, 4000, 1e-12)
         assert f < 1e-8
         assert np.allclose(x, 1.0, atol=1e-3)
 
@@ -200,7 +220,8 @@ class TestFit:
     def test_diverging_corners_of_huge_bounds_survive(self):
         # restarts sample uniformly inside the box; with bounds this wide
         # every sampled point overflows the integration, which must be
-        # scored as +inf rather than aborting the fit
+        # scored as +inf rather than aborting the fit. tol=0 and a short
+        # first start keep the guess from meeting tol, so both restarts run
         obs = make_noiseless_obs(horizon=2.0)
         wide = {name: (0.0, 1e160) for name in PARAM_FIELDS}
         guess = ModelParameters(**{n: getattr(TRUE_PARAMS, n) * 1.5 for n in PARAM_FIELDS})
@@ -208,12 +229,100 @@ class TestFit:
             obs,
             guess,
             bounds=wide,
-            options=FitOptions(max_iter=40, tol=1e-10, restarts=2, seed=0),
+            options=FitOptions(max_iter=3, tol=0.0, restarts=2, seed=0),
         )
         assert res.restarts_used == 2
         assert math.isfinite(res.objective_value)
         base, _ = objective(guess, obs, 0.05)
         assert res.objective_value <= base
+
+    def test_jacobian_probe_past_the_divergence_edge_survives(self):
+        # just below the alpha3 at which the integration overflows, the
+        # forward-difference probe crosses the edge; its non-finite
+        # residuals must not reach the step
+        obs = make_noiseless_obs(horizon=2.0)
+        prep = _prepare(obs, 0.05)
+
+        def finite(alpha3):
+            try:
+                r = _residuals(TRUE_PARAMS.replace(alpha3=alpha3), obs, 0.05, prep)
+            except NumericalError:
+                return False
+            return bool(np.all(np.isfinite(r)))
+
+        lo, hi = 1.0, 1e300
+        for _ in range(80):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+        assert hi / lo - 1.0 < 1e-9
+        guess = TRUE_PARAMS.replace(alpha3=lo)
+        wide = {name: (0.0, 1e160) for name in PARAM_FIELDS}
+        res = fit(obs, guess, bounds=wide, options=FitOptions(max_iter=3, tol=0.0))
+        assert math.isfinite(res.objective_value)
+        assert res.objective_value <= objective(guess, obs, 0.05)[0]
+
+    def test_recovers_every_coefficient_on_noiseless_data(self):
+        obs = make_noiseless_obs()
+        guess = ModelParameters(**{n: getattr(TRUE_PARAMS, n) * 1.10 for n in PARAM_FIELDS})
+        res = fit(obs, guess, options=FitOptions(tol=0.0))
+        assert res.converged
+        for name in PARAM_FIELDS:
+            assert abs(getattr(res.params, name) - getattr(TRUE_PARAMS, name)) <= 1e-6, name
+
+    def test_agrees_with_scipy_least_squares(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        obs = make_noiseless_obs()
+        guess = ModelParameters(**{n: getattr(TRUE_PARAMS, n) * 1.10 for n in PARAM_FIELDS})
+        prep = _prepare(obs, 0.05)
+        lo = [DEFAULT_PARAM_BOUNDS[n][0] for n in PARAM_FIELDS]
+        hi = [DEFAULT_PARAM_BOUNDS[n][1] for n in PARAM_FIELDS]
+        oracle = optimize.least_squares(
+            lambda x: np.ravel(_residuals(ModelParameters(*x.tolist()), obs, 0.05, prep)),
+            [getattr(guess, n) for n in PARAM_FIELDS],
+            bounds=(lo, hi),
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+        )
+        res = fit(obs, guess, options=FitOptions(tol=0.0))
+        for name, x in zip(PARAM_FIELDS, oracle.x):
+            assert abs(getattr(res.params, name) - x) <= 1e-6, name
+
+    def test_coefficients_the_data_cannot_see_keep_their_guess(self):
+        # with alpha4 pinned at 0 the feedback is 0, so beta1, phi4 and
+        # gamma2 have zero Jacobian columns and JᵀJ is singular
+        truth = TRUE_PARAMS.replace(alpha4=0.0)
+        obs = generate_synthetic(truth, START, 3.0, 0.05, 2, 0.0, 0)
+        guess = ModelParameters(**{n: getattr(truth, n) * 1.10 for n in PARAM_FIELDS})
+        bounds = {**DEFAULT_PARAM_BOUNDS, "alpha4": (0.0, 0.0)}
+        res = fit(obs, guess, bounds=bounds, options=FitOptions(tol=0.0))
+        assert res.converged
+        for name in PARAM_FIELDS:
+            if name in ("beta1", "phi4", "gamma2"):
+                assert getattr(res.params, name) == pytest.approx(getattr(guess, name), rel=1e-12)
+            else:
+                assert abs(getattr(res.params, name) - getattr(truth, name)) <= 1e-6, name
+
+    def test_guess_meeting_tol_costs_one_residual_evaluation(self, monkeypatch):
+        obs = make_noiseless_obs()
+        calls = []
+        real = calibration._integrate_raw
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(calibration, "_integrate_raw", counting)
+        res = fit(obs, TRUE_PARAMS, options=FitOptions(restarts=3))
+        # one evaluation at the guess, one for the reported objective
+        assert len(calls) == 2
+        assert res.iterations == 0 and res.restarts_used == 0 and res.converged
+
+    def test_nonpositive_dt_rejected(self):
+        obs = make_noiseless_obs(horizon=2.0)
+        for dt in (0.0, -0.05, math.nan):
+            with pytest.raises(ArgumentError):
+                fit(obs, TRUE_PARAMS, dt=dt)
 
 
 class TestGenerateSynthetic:

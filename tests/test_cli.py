@@ -116,6 +116,34 @@ class TestCalibrateCommand:
         obs_path.write_text("t,G,C,M,F\n0,1,banana,1,0\n1,1,1,1,0\n")
         assert main(["calibrate", "--obs", str(obs_path), "--out", str(tmp_path)]) == 2
 
+    def test_nonpositive_dt_exits_2(self, tmp_path, capsys):
+        obs = generate_synthetic(DEFAULT_PARAMETERS, SystemState(0.0, 0.4, 0.3, 0.2), 1.0, 0.05, 2, 0.0, 0)
+        obs_path = tmp_path / "obs.csv"
+        write_series_csv(obs, obs_path)
+        assert main(["calibrate", "--obs", str(obs_path), "--out", str(tmp_path), "--dt", "0"]) == 2
+        assert "dt must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", [[5, 1], ["x", 1], 5, [1], [0, 10**400]])
+class TestBoundsInput:
+    """simulate's param_bounds and calibrate's --bounds file share one parser."""
+
+    def test_simulate_param_bounds_exit_2(self, tmp_path, capsys, pair):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 2, "param_bounds": {"alpha1": pair}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "bounds for alpha1" in capsys.readouterr().err
+
+    def test_calibrate_bounds_file_exit_2(self, tmp_path, capsys, pair):
+        obs = generate_synthetic(DEFAULT_PARAMETERS, SystemState(0.0, 0.4, 0.3, 0.2), 1.0, 0.05, 2, 0.0, 0)
+        obs_path = tmp_path / "obs.csv"
+        write_series_csv(obs, obs_path)
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps({"alpha1": pair}))
+        code = main(["calibrate", "--obs", str(obs_path), "--bounds", str(bounds), "--out", str(tmp_path)])
+        assert code == 2
+        assert "bounds for alpha1" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_alpha1_doubling_prints_unit_rate(self, tmp_path, capsys):
