@@ -50,6 +50,8 @@ from .simulation import (
     SimulationConfig,
     SimulationResult,
     _config_from_dict,
+    _real,
+    _write_json,
     default_initial,
     result_from_json_dict,
     run,
@@ -90,11 +92,18 @@ def _load_json(path: str) -> dict | list:
         raise ArgumentError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _params_from_dict(data: dict, defaults: ModelParameters = DEFAULT_PARAMETERS) -> ModelParameters:
+def _params_from_dict(data, where: str) -> ModelParameters:
+    """DEFAULT_PARAMETERS overlaid with a JSON object {name: number};
+    `where` names the source in errors."""
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{where} must hold a JSON object")
     unknown = set(data) - set(PARAM_FIELDS)
     if unknown:
-        raise ArgumentError(f"unknown parameter fields: {sorted(unknown)}")
-    values = {name: float(data.get(name, getattr(defaults, name))) for name in PARAM_FIELDS}
+        raise ArgumentError(f"{where}: unknown parameter fields: {sorted(unknown)}")
+    values = {
+        name: _real(data.get(name, getattr(DEFAULT_PARAMETERS, name)), f"{where}: {name}")
+        for name in PARAM_FIELDS
+    }
     return ModelParameters(**values)
 
 
@@ -174,14 +183,16 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
         if not isinstance(init_raw, dict):
             raise ArgumentError("config key 'initial' must be an object")
         if "params" in init_raw:
-            initial_params = _params_from_dict(init_raw["params"])
+            initial_params = _params_from_dict(init_raw["params"], "initial.params")
         if "state" in init_raw:
             st = init_raw["state"]
+            if not isinstance(st, dict):
+                raise ArgumentError("config key 'initial.state' must be an object")
             initial_state = SystemState(
                 t=0.0,
-                g=float(st.get("g", DEFAULT_INITIAL_STATE.g)),
-                c=float(st.get("c", DEFAULT_INITIAL_STATE.c)),
-                m=float(st.get("m", DEFAULT_INITIAL_STATE.m)),
+                g=_real(st.get("g", DEFAULT_INITIAL_STATE.g), "initial.state.g"),
+                c=_real(st.get("c", DEFAULT_INITIAL_STATE.c), "initial.state.c"),
+                m=_real(st.get("m", DEFAULT_INITIAL_STATE.m), "initial.state.m"),
             )
 
     return RunManifest(
@@ -244,10 +255,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     obs = read_series_csv(args.obs)
     guess = DEFAULT_PARAMETERS
     if args.guess is not None:
-        data = _load_json(args.guess)
-        if not isinstance(data, dict):
-            raise ArgumentError(f"guess file {args.guess} must hold a JSON object")
-        guess = _params_from_dict(data)
+        guess = _params_from_dict(_load_json(args.guess), f"guess file {args.guess}")
     bounds = None
     if args.bounds is not None:
         bounds = _bounds_from_json(_load_json(args.bounds), f"bounds file {args.bounds}")
@@ -256,10 +264,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     )
     result = fit(obs, guess, bounds=bounds, options=options, dt=args.dt)
     outdir = _ensure_outdir(args.out)
-    out_path = os.path.join(outdir, "fit.json")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(result.to_json_dict(), os.path.join(outdir, "fit.json"))
     print(
         f"objective={result.objective_value:.12g} converged={result.converged} "
         f"iterations={result.iterations} restarts_used={result.restarts_used}"
@@ -295,10 +300,7 @@ def _parse_state(spec: str) -> SystemState:
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = DEFAULT_PARAMETERS
     if args.params is not None:
-        data = _load_json(args.params)
-        if not isinstance(data, dict):
-            raise ArgumentError(f"params file {args.params} must hold a JSON object")
-        params = _params_from_dict(data)
+        params = _params_from_dict(_load_json(args.params), f"params file {args.params}")
     initial = _parse_state(args.initial) if args.initial else DEFAULT_INITIAL_STATE
     values = _parse_values(args.values)
     result = sweep(params, initial, args.horizon, args.dt, args.parameter, values)
@@ -395,9 +397,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             print(f"pairwise {p.pair[0]} vs {p.pair[1]}: p_raw={p.p_raw:.4g} p_adj={p.p_adjusted:.4g}")
 
     outdir = _ensure_outdir(args.out)
-    with open(os.path.join(outdir, "metrics.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(report, os.path.join(outdir, "metrics.json"))
     return 0
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .agents import (
     DEFAULT_MAX_STEP,
@@ -283,6 +284,7 @@ def run(
 ) -> SimulationResult:
     """Run the configured policy for total_steps steps."""
     _check_config(config)
+    pool: ThreadPoolExecutor | None = None
     if config.policy_kind == "rule":
 
         def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
@@ -295,29 +297,33 @@ def run(
         if config.llm is None:
             raise ArgumentError("policy_kind 'llm' requires config.llm client settings")
         client = config.llm
+        workers = min(config.llm_concurrency, len(profiles))
+        if workers > 1:
+            # one pool for the whole run, shut down in the finally below
+            pool = ThreadPoolExecutor(max_workers=workers)
 
         def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
-            workers = min(config.llm_concurrency, len(items))
-            if workers <= 1:
+            if pool is None:
                 return {
                     prof.id: llm_policy_decide(prof, regs, state, env, client, config.max_step)
                     for prof, regs, state, env in items
                 }
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    prof.id: pool.submit(
-                        llm_policy_decide, prof, regs, state, env, client, config.max_step
-                    )
-                    for prof, regs, state, env in items
-                }
-                return {aid: fut.result() for aid, fut in futures.items()}
+            futures = {
+                prof.id: pool.submit(llm_policy_decide, prof, regs, state, env, client, config.max_step)
+                for prof, regs, state, env in items
+            }
+            return {aid: fut.result() for aid, fut in futures.items()}
 
     elif config.policy_kind == "scripted":
         raise ArgumentError("policy_kind 'scripted' requires run_scripted with a script")
     else:  # pragma: no cover - guarded by _check_config
         raise ArgumentError(f"unknown policy_kind {config.policy_kind!r}")
 
-    return _run_engine(config, profiles, initial, corpus, decide_step)
+    try:
+        return _run_engine(config, profiles, initial, corpus, decide_step)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def run_scripted(
@@ -464,6 +470,26 @@ def _config_to_dict(config: SimulationConfig) -> dict:
     }
 
 
+def _real(value, where: str) -> float:
+    """A JSON number as a float; ArgumentError for anything else."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ArgumentError(f"{where} must be a number, got {value!r}")
+
+
+def _integer(value, where: str) -> int:
+    """A JSON number without a fractional part (10 or 10.0) as an int;
+    ArgumentError for anything else, never a truncation."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ArgumentError(f"{where} must be an integer, got {value!r}")
+
+
 def _config_from_dict(data: dict) -> SimulationConfig:
     sched = data.get("schedule", {})
     thr = data.get("threshold", {})
@@ -471,27 +497,27 @@ def _config_from_dict(data: dict) -> SimulationConfig:
     bounds = _bounds_from_json({} if bounds_raw is None else bounds_raw, "param_bounds")
     llm_raw = data.get("llm")
     return SimulationConfig(
-        total_steps=int(data.get("total_steps", 73)),
-        dt_per_step=float(data.get("dt_per_step", 0.05)),
-        inner_substeps=int(data.get("inner_substeps", 20)),
+        total_steps=_integer(data.get("total_steps", 73), "total_steps"),
+        dt_per_step=_real(data.get("dt_per_step", 0.05), "dt_per_step"),
+        inner_substeps=_integer(data.get("inner_substeps", 20), "inner_substeps"),
         schedule=Schedule(
-            strict_steps=int(sched.get("strict_steps", 10)),
-            lenient_steps=int(sched.get("lenient_steps", 5)),
+            strict_steps=_integer(sched.get("strict_steps", 10), "schedule.strict_steps"),
+            lenient_steps=_integer(sched.get("lenient_steps", 5), "schedule.lenient_steps"),
             cycle=bool(sched.get("cycle", True)),
         ),
         threshold_cfg=ThresholdConfig(
-            base=float(thr.get("base", 4.0)),
-            kappa=float(thr.get("kappa", 0.3)),
-            window=int(thr.get("window", 10)),
-            floor=float(thr.get("floor", 2.0)),
-            ceiling=float(thr.get("ceiling", 8.0)),
+            base=_real(thr.get("base", 4.0), "threshold.base"),
+            kappa=_real(thr.get("kappa", 0.3), "threshold.kappa"),
+            window=_integer(thr.get("window", 10), "threshold.window"),
+            floor=_real(thr.get("floor", 2.0), "threshold.floor"),
+            ceiling=_real(thr.get("ceiling", 8.0), "threshold.ceiling"),
         ),
         param_bounds=bounds,
-        max_step=float(data.get("max_step", DEFAULT_MAX_STEP)),
-        seed=int(data.get("seed", 0)),
+        max_step=_real(data.get("max_step", DEFAULT_MAX_STEP), "max_step"),
+        seed=_integer(data.get("seed", 0), "seed"),
         policy_kind=str(data.get("policy_kind", "rule")),
         llm=None if llm_raw is None else ClientConfig.from_dict(llm_raw),
-        llm_concurrency=int(data.get("llm_concurrency", 4)),
+        llm_concurrency=_integer(data.get("llm_concurrency", 4), "llm_concurrency"),
     )
 
 
@@ -571,10 +597,130 @@ def result_from_json_dict(data: dict) -> SimulationResult:
     )
 
 
-def write_result_json(result: SimulationResult, path) -> None:
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return _float_repr(x)
+
+
+def _json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, in
+    pieces: each member of the top two levels of containers is its own piece,
+    so that no piece holds a large document whole. Like json, a value or key
+    that JSON cannot hold raises TypeError.
+
+    ``json.dump`` with ``indent`` always runs json's pure-Python encoder and
+    hands the file thousands of tiny chunks; this one builds each deeper value
+    as one string, with exact-type checks first and json's isinstance order
+    behind them.
+    """
+    keys: dict[str, str] = {}
+    # layout[k] = (newline + k indents, comma + newline + k indents)
+    layout = [("\n", ",\n")]
+
+    def at(level: int) -> tuple[str, str]:
+        if level == len(layout):
+            layout.append(("\n" + "  " * level, ",\n" + "  " * level))
+        return layout[level]
+
+    def key_text(k) -> str:
+        if isinstance(k, str):
+            text = keys[k] = _encode_str(k) + ": "
+            return text
+        # json writes a number, bool or None key as the quoted text of the value
+        if k is not None and not isinstance(k, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        return _encode_str(enc(k, 0)) + ": "
+
+    def enc(o, level: int) -> str:
+        t = type(o)
+        if t is float:
+            return _float_repr(o) if o - o == 0.0 else _float_text(o)
+        if t is str:
+            return _encode_str(o)
+        if t is dict:
+            return enc_dict(o, level)
+        if t is list or t is tuple:
+            return enc_list(o, level)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if t is int:
+            return _int_repr(o)
+        if isinstance(o, str):
+            return _encode_str(o)
+        if isinstance(o, int):
+            return _int_repr(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if isinstance(o, (list, tuple)):
+            return enc_list(o, level)
+        if isinstance(o, dict):
+            return enc_dict(o, level)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def enc_dict(o: dict, level: int) -> str:
+        if not o:
+            return "{}"
+        nl, sep = at(level + 1)
+        parts = []
+        for k, v in sorted(o.items()):
+            kt = keys.get(k) or key_text(k)
+            if type(v) is float and v - v == 0.0:
+                parts.append(kt + _float_repr(v))
+            else:
+                parts.append(kt + enc(v, level + 1))
+        return "{" + nl + sep.join(parts) + layout[level][0] + "}"
+
+    def enc_list(o, level: int) -> str:
+        if not o:
+            return "[]"
+        nl, sep = at(level + 1)
+        return "[" + nl + sep.join([enc(v, level + 1) for v in o]) + layout[level][0] + "]"
+
+    def pieces(o, level: int) -> Iterator[str]:
+        t = type(o)
+        if level == 2 or not (t is dict or t is list or t is tuple) or not o:
+            yield enc(o, level)
+            return
+        nl, sep = at(level + 1)
+        if t is dict:
+            yield "{"
+            for i, (k, v) in enumerate(sorted(o.items())):
+                yield (sep if i else nl) + key_text(k)
+                yield from pieces(v, level + 1)
+            yield layout[level][0] + "}"
+        else:
+            yield "["
+            for i, v in enumerate(o):
+                yield sep if i else nl
+                yield from pieces(v, level + 1)
+            yield layout[level][0] + "]"
+
+    yield from pieces(obj, 0)
+    yield "\n"
+
+
+def _write_json(obj, path) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result_to_json_dict(result), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.writelines(_json_chunks(obj))
+
+
+def write_result_json(result: SimulationResult, path) -> None:
+    _write_json(result_to_json_dict(result), path)
 
 
 def write_result_csv(result: SimulationResult, path) -> None:

@@ -145,6 +145,52 @@ class TestBoundsInput:
         assert "bounds for alpha1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value", ["x", "0.5", True, None, [0.5], 10**400], ids=["text", "numeric-text", "bool", "null", "list", "overflow"]
+)
+class TestCoefficientInput:
+    """Coefficient values must be JSON numbers in every file that holds them."""
+
+    def test_calibrate_guess_exit_2(self, tmp_path, capsys, value):
+        obs = generate_synthetic(DEFAULT_PARAMETERS, SystemState(0.0, 0.4, 0.3, 0.2), 1.0, 0.05, 2, 0.0, 0)
+        obs_path = tmp_path / "obs.csv"
+        write_series_csv(obs, obs_path)
+        guess = tmp_path / "guess.json"
+        guess.write_text(json.dumps({"alpha1": value}))
+        assert main(["calibrate", "--obs", str(obs_path), "--guess", str(guess), "--out", str(tmp_path)]) == 2
+        assert "alpha1 must be a number" in capsys.readouterr().err
+
+    def test_sweep_params_exit_2(self, tmp_path, capsys, value):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"alpha1": value}))
+        code = main(["sweep", "--parameter", "beta1", "--values", "0.1", "--params", str(params), "--out", str(tmp_path)])
+        assert code == 2
+        assert "alpha1 must be a number" in capsys.readouterr().err
+
+    def test_simulate_initial_params_exit_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 2, "initial": {"params": {"alpha1": value}}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "initial.params: alpha1 must be a number" in capsys.readouterr().err
+
+    def test_simulate_initial_state_exit_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 2, "initial": {"state": {"c": value}}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "initial.state.c must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"total_steps": "abc"}, {"total_steps": 2.5}, {"threshold": {"window": 2.5}}, {"schedule": {"strict_steps": True}}],
+)
+def test_simulate_malformed_integer_config_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_alpha1_doubling_prints_unit_rate(self, tmp_path, capsys):
         params_path = tmp_path / "params.json"

@@ -1,0 +1,172 @@
+"""The one JSON writer behind result.json, fit.json and metrics.json: its
+bytes are those of json.dumps(obj, sort_keys=True, indent=2) plus a newline."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from regflow.agents import DEFAULT_PROFILES, AgentDecision, ClientConfig, ParameterAdjustment
+from regflow.brr import Submission
+from regflow.calibration import generate_synthetic, write_series_csv
+from regflow.cli import main
+from regflow.corpus import build_default_corpus
+from regflow.dynamics import DEFAULT_PARAMETERS, SystemState
+from regflow.simulation import (
+    SimulationConfig,
+    _json_chunks,
+    default_initial,
+    result_to_json_dict,
+    run,
+    run_scripted,
+    write_result_json,
+)
+
+from llm_stub import StubLLMServer
+
+CORPUS = build_default_corpus()
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def encoded(obj) -> str:
+    return "".join(_json_chunks(obj))
+
+
+awkward_text = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "naïve", " ", "\U0001f600", '"\\/\n\t'])
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+    | awkward_text
+)
+trees = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(awkward_text, children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestEncoderMatchesJson:
+    @settings(max_examples=300, deadline=None)
+    @given(trees)
+    @example({"a": math.nan, "b": math.inf, "c": -math.inf, "d": [math.nan, -math.inf]})
+    @example({"\x01kéy": "v\x1fü", "\U0001f600": ["\n", " "]})
+    @example({"x": {}, "y": [], "z": [{}, [[]], {"w": {}}]})
+    @example([(1, True, 0, False, (None,)), 2**100, -(2**90), 1.0, 1])
+    @example({"f": np.float64(0.1), "g": [np.float64(math.nan), np.float64(-math.inf)]})
+    @example([[[[[[{"deep": [1.5]}]]]]]])
+    def test_equals_json_dumps(self, tree):
+        assert encoded(tree) == reference(tree)
+
+    @pytest.mark.parametrize("key", [3, -7, 2.5, math.inf, math.nan, True, False, None])
+    def test_non_str_scalar_keys_are_coerced_like_json(self, key):
+        tree = {"outer": {key: [1]}}
+        assert encoded(tree) == reference(tree)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1, 2},
+            np.int64(3),
+            np.array([1.0, 2.0]),
+            {(1, 2): "tuple key"},
+            [object()],
+            {"deep": [{"set": frozenset()}]},
+        ],
+    )
+    def test_unsupported_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            encoded(value)
+
+
+def small_config(**overrides):
+    defaults = dict(total_steps=6, dt_per_step=0.05, inner_substeps=4, seed=1)
+    defaults.update(overrides)
+    return SimulationConfig(**defaults)
+
+
+def assert_result_bytes(result, tmp_path):
+    path = tmp_path / "result.json"
+    write_result_json(result, path)
+    assert path.read_bytes() == reference(result_to_json_dict(result)).encode("ascii")
+
+
+class TestResultFiles:
+    def test_default_rule_run(self, tmp_path):
+        profiles = list(DEFAULT_PROFILES)
+        result = run(SimulationConfig(), profiles, default_initial(profiles), CORPUS)
+        assert_result_bytes(result, tmp_path)
+
+    def test_scripted_run_with_abstentions_and_warnings(self, tmp_path):
+        profiles = list(DEFAULT_PROFILES)[:3]
+        script = {}
+        for t in range(6):
+            for i, p in enumerate(profiles):
+                if (t + i) % 2:
+                    script[(t, p.id)] = AgentDecision(
+                        comply=False,
+                        adjustments=ParameterAdjustment(deltas={}),
+                        submission=None,
+                        rationale="hold é\x01",
+                        warnings=("score 11 clipped to 10", "unknown key 'x' dropped"),
+                    )
+                else:
+                    script[(t, p.id)] = AgentDecision(
+                        comply=True,
+                        adjustments=ParameterAdjustment(deltas={"alpha1": 0.01, "phi2": -0.02}),
+                        submission=Submission(p.id, 7, 6, 8, 3, regulation_ids=("R1",)),
+                        rationale="file",
+                    )
+        config = small_config(policy_kind="scripted")
+        result = run_scripted(config, profiles, default_initial(profiles), CORPUS, script)
+        data = result_to_json_dict(result)
+        decisions = [a["decision"] for rec in data["records"] for a in rec["agents"].values()]
+        assert any(d["submission"] is None and d["adjustments"] == {} and d["warnings"] for d in decisions)
+        assert_result_bytes(result, tmp_path)
+
+    def test_llm_run_with_fallbacks(self, tmp_path):
+        profiles = list(DEFAULT_PROFILES)[:3]
+        with StubLLMServer(behavior="garbage") as server:
+            config = small_config(
+                total_steps=2,
+                policy_kind="llm",
+                llm=ClientConfig(endpoint=server.url, model="stub", timeout=5.0, retries=1),
+            )
+            result = run(config, profiles, default_initial(profiles), CORPUS)
+        assert result.llm_fallbacks == 6
+        assert_result_bytes(result, tmp_path)
+
+
+class TestCliFiles:
+    """fit.json and metrics.json are the json.dumps text of their own content."""
+
+    def assert_json_dumps_layout(self, path):
+        raw = path.read_bytes()
+        assert raw == reference(json.loads(raw)).encode("ascii")
+
+    def test_fit_json(self, tmp_path):
+        obs = generate_synthetic(DEFAULT_PARAMETERS, SystemState(0.0, 0.4, 0.3, 0.2), 1.0, 0.05, 2, 0.0, 0)
+        write_series_csv(obs, tmp_path / "obs.csv")
+        assert main(["calibrate", "--obs", str(tmp_path / "obs.csv"), "--out", str(tmp_path), "--max-iter", "3"]) == 0
+        self.assert_json_dumps_layout(tmp_path / "fit.json")
+
+    def test_metrics_json(self, tmp_path):
+        run_dir, met_dir = tmp_path / "run", tmp_path / "met"
+        assert main(["simulate", "--out", str(run_dir), "--steps", "12"]) == 0
+        assert main(["metrics", "--result", str(run_dir / "result.json"), "--groups", "auto", "--out", str(met_dir)]) == 0
+        self.assert_json_dumps_layout(run_dir / "result.json")
+        self.assert_json_dumps_layout(met_dir / "metrics.json")

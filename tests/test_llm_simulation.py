@@ -1,9 +1,14 @@
 """End-to-end llm-policy simulation runs against the local stub."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
+import regflow.simulation as simulation
 from regflow.agents import ClientConfig, DEFAULT_PROFILES
 from regflow.corpus import build_default_corpus
+from regflow.errors import ArgumentError
 from regflow.simulation import SimulationConfig, default_initial, run
 
 from llm_stub import StubLLMServer
@@ -89,3 +94,43 @@ def test_llm_run_counts_fallbacks_on_garbage():
             assert ar.decision.fallback == "parse"
             # the fallback rule decision still complies and is scored
             assert ar.brr is not None
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """Every ThreadPoolExecutor that simulation builds, in order."""
+    built = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shut_down = False
+            built.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.shut_down = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", CountingPool)
+    return built
+
+
+def test_llm_run_builds_one_thread_pool(pools):
+    profiles = list(DEFAULT_PROFILES)[:6]
+    with StubLLMServer(behavior="reply", reply_content=GOOD_REPLY) as server:
+        serial = run(llm_config(server, steps=5, concurrency=1), profiles, default_initial(profiles), CORPUS)
+        assert pools == []
+        pooled = run(llm_config(server, steps=5, concurrency=4), profiles, default_initial(profiles), CORPUS)
+    assert len(pools) == 1 and pools[0].shut_down
+    a = json.dumps(simulation.result_to_json_dict(serial)["records"], sort_keys=True)
+    b = json.dumps(simulation.result_to_json_dict(pooled)["records"], sort_keys=True)
+    assert a == b
+
+
+def test_llm_pool_is_shut_down_when_the_run_raises(pools):
+    profiles = list(DEFAULT_PROFILES)[:3]
+    initial = default_initial(profiles[:2])  # the third profile has no initial data
+    with StubLLMServer(behavior="reply", reply_content=GOOD_REPLY) as server:
+        with pytest.raises(ArgumentError, match="initial data ids"):
+            run(llm_config(server, steps=2), profiles, initial, CORPUS)
+    assert len(pools) == 1 and pools[0].shut_down

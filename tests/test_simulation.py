@@ -199,6 +199,43 @@ class TestConfigParsing:
         assert cfg.threshold_cfg.base == 4.0
         assert cfg.policy_kind == "rule"
 
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"total_steps": "abc"}, "total_steps"),
+            ({"total_steps": 7.5}, "total_steps"),
+            ({"inner_substeps": None}, "inner_substeps"),
+            ({"threshold": {"window": 2.5}}, "threshold.window"),
+            ({"schedule": {"lenient_steps": "5"}}, "schedule.lenient_steps"),
+            ({"seed": False}, "seed"),
+            ({"llm_concurrency": [4]}, "llm_concurrency"),
+        ],
+    )
+    def test_malformed_integer_rejected(self, data, where):
+        from regflow.simulation import _config_from_dict
+
+        with pytest.raises(ArgumentError, match=f"{where} must be an integer"):
+            _config_from_dict(data)
+
+    def test_integral_floats_accepted(self):
+        from regflow.simulation import _config_from_dict
+
+        cfg = _config_from_dict({"total_steps": 10.0, "threshold": {"window": 4.0}, "seed": 3})
+        assert (cfg.total_steps, cfg.threshold_cfg.window, cfg.seed) == (10, 4, 3)
+        assert type(cfg.total_steps) is int and type(cfg.threshold_cfg.window) is int
+
+    def test_malformed_number_rejected(self):
+        from regflow.simulation import _config_from_dict
+
+        with pytest.raises(ArgumentError, match="dt_per_step must be a number"):
+            _config_from_dict({"dt_per_step": "fast"})
+
+    def test_stored_config_reads_back(self):
+        from regflow.simulation import _config_from_dict, _config_to_dict
+
+        config = small_config(total_steps=9, threshold_cfg=ThresholdConfig(window=3), llm_concurrency=2)
+        assert _config_to_dict(_config_from_dict(_config_to_dict(config))) == _config_to_dict(config)
+
 
 class TestRunScripted:
     def test_constant_scores_give_constant_brr(self):
