@@ -16,16 +16,27 @@ Parameter changes proposed by any policy are bounded per step (default
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import math
 import os
-from dataclasses import dataclass, replace
-
-import requests
+import ssl
+import urllib.error
+import urllib.parse
+import urllib.request
+from dataclasses import dataclass, fields, replace
 
 from .brr import Submission
 from .corpus import Regulation
-from .dynamics import DEFAULT_PARAM_BOUNDS, PARAM_FIELDS, ModelParameters, SystemState
+from .dynamics import (
+    DEFAULT_PARAM_BOUNDS,
+    PARAM_FIELDS,
+    ModelParameters,
+    SystemState,
+    _integer,
+    _real,
+)
 from .errors import ArgumentError, ReplyParseError
 
 __all__ = [
@@ -378,7 +389,8 @@ def parse_llm_reply(
 class ClientConfig:
     """Connection settings for the chat-completions endpoint.
 
-    endpoint is the full URL (e.g. http://host:port/v1/chat/completions).
+    endpoint is the full http or https URL (e.g.
+    http://host:port/v1/chat/completions); any other scheme is rejected.
     The API key is read from the environment variable named by
     api_key_env; it is never passed as a flag or stored in files.
     """
@@ -389,12 +401,74 @@ class ClientConfig:
     retries: int = 2
     api_key_env: str = "REGFLOW_API_KEY"
 
+    def __post_init__(self) -> None:
+        for name in ("endpoint", "model", "api_key_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ArgumentError(f"llm.{name} must be a string, got {getattr(self, name)!r}")
+        try:
+            scheme = urllib.parse.urlsplit(self.endpoint).scheme.lower()
+        except ValueError:
+            scheme = ""
+        if scheme not in ("http", "https"):
+            raise ArgumentError(f"llm.endpoint must be an http or https URL, got {self.endpoint!r}")
+        timeout = _real(self.timeout, "llm.timeout")
+        if not (math.isfinite(timeout) and timeout > 0.0):
+            raise ArgumentError(f"llm.timeout must be a positive finite number, got {timeout!r}")
+        retries = _integer(self.retries, "llm.retries")
+        if retries < 0:
+            raise ArgumentError(f"llm.retries must be >= 0, got {retries!r}")
+        object.__setattr__(self, "timeout", timeout)
+        object.__setattr__(self, "retries", retries)
+
     @classmethod
-    def from_dict(cls, data: dict) -> "ClientConfig":
-        known = {k: data[k] for k in ("endpoint", "model", "timeout", "retries", "api_key_env") if k in data}
-        if "endpoint" not in known:
+    def from_dict(cls, data) -> "ClientConfig":
+        """The config file's `llm` object; an unknown key or a malformed
+        value raises ArgumentError naming the field."""
+        if not isinstance(data, dict):
+            raise ArgumentError(f"llm must be a JSON object, got {data!r}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ArgumentError(f"llm has unknown keys: {unknown}")
+        if "endpoint" not in data:
             raise ArgumentError("llm client config requires an 'endpoint'")
-        return cls(**known)
+        return cls(**data)
+
+
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    """An opener that can open http and https URLs only; any other scheme,
+    also one reached by a redirect, raises URLError. Proxies come from the
+    environment, read when the first request is sent; HTTPS verifies
+    against the system CA store."""
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.UnknownHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(context=ssl.create_default_context()),
+        urllib.request.HTTPDefaultErrorHandler(),
+        urllib.request.HTTPRedirectHandler(),
+        urllib.request.HTTPErrorProcessor(),
+    ):
+        opener.add_handler(handler)
+    return opener
+
+
+def _post_json(endpoint: str, body: bytes, headers: dict[str, str], timeout: float) -> bytes:
+    """POST body to endpoint and return the response body.
+
+    Raises TimeoutError (possibly as the reason of a URLError),
+    urllib.error.URLError (HTTPError for a non-2xx status),
+    http.client.HTTPException, another OSError, or ValueError for a URL or
+    header value that cannot be sent.
+    """
+    request = urllib.request.Request(endpoint, data=body, headers=headers, method="POST")
+    try:
+        with _opener().open(request, timeout=timeout) as resp:
+            return resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()  # the error carries the open response
+        raise
 
 
 def llm_policy_decide(
@@ -424,25 +498,21 @@ def llm_policy_decide(
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
 
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+
     failure = "transport"
     detail = ""
     for _attempt in range(client_config.retries + 1):
         try:
-            resp = requests.post(
-                client_config.endpoint,
-                json=payload,
-                headers=headers,
-                timeout=client_config.timeout,
-            )
-            resp.raise_for_status()
-        except requests.Timeout:
-            failure, detail = "timeout", f"no response within {client_config.timeout}s"
-            continue
-        except requests.RequestException as exc:
-            failure, detail = "transport", str(exc)
+            raw = _post_json(client_config.endpoint, body, headers, client_config.timeout)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+                failure, detail = "timeout", f"no response within {client_config.timeout}s"
+            else:
+                failure, detail = "transport", str(exc)
             continue
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(raw)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError("message content is not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:

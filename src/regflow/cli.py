@@ -44,13 +44,13 @@ from .dynamics import (
     ModelParameters,
     SystemState,
     _bounds_from_json,
+    _real,
 )
 from .errors import ArgumentError, NumericalError
 from .simulation import (
     SimulationConfig,
     SimulationResult,
     _config_from_dict,
-    _real,
     _write_json,
     default_initial,
     result_from_json_dict,

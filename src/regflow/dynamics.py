@@ -160,6 +160,26 @@ def _check_state(s: SystemState) -> None:
             raise DomainError(f"state field {name} must be >= 0, got {v!r}")
 
 
+def _real(value, where: str) -> float:
+    """A JSON number as a float; ArgumentError for anything else."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ArgumentError(f"{where} must be a number, got {value!r}")
+
+
+def _integer(value, where: str) -> int:
+    """A JSON number without a fractional part (10 or 10.0) as an int;
+    ArgumentError for anything else, never a truncation."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ArgumentError(f"{where} must be an integer, got {value!r}")
+
+
 def _check_bound(name: str, pair) -> tuple[float, float]:
     """One coefficient's box as floats; ArgumentError unless pair holds two
     finite numbers with 0 <= lo <= hi."""

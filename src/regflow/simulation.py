@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
@@ -44,6 +43,8 @@ from .dynamics import (
     SystemState,
     _bounds_from_json,
     _fmt,
+    _integer,
+    _real,
     advance,
     eval_feedback,
 )
@@ -470,29 +471,19 @@ def _config_to_dict(config: SimulationConfig) -> dict:
     }
 
 
-def _real(value, where: str) -> float:
-    """A JSON number as a float; ArgumentError for anything else."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ArgumentError(f"{where} must be a number, got {value!r}")
-
-
-def _integer(value, where: str) -> int:
-    """A JSON number without a fractional part (10 or 10.0) as an int;
-    ArgumentError for anything else, never a truncation."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    raise ArgumentError(f"{where} must be an integer, got {value!r}")
+def _object(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ArgumentError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _config_from_dict(data: dict) -> SimulationConfig:
-    sched = data.get("schedule", {})
-    thr = data.get("threshold", {})
+    sched = _object(data, "schedule")
+    thr = _object(data, "threshold")
+    cycle = sched.get("cycle", True)
+    if not isinstance(cycle, bool):
+        raise ArgumentError(f"schedule.cycle must be true or false, got {cycle!r}")
     bounds_raw = data.get("param_bounds")
     bounds = _bounds_from_json({} if bounds_raw is None else bounds_raw, "param_bounds")
     llm_raw = data.get("llm")
@@ -503,7 +494,7 @@ def _config_from_dict(data: dict) -> SimulationConfig:
         schedule=Schedule(
             strict_steps=_integer(sched.get("strict_steps", 10), "schedule.strict_steps"),
             lenient_steps=_integer(sched.get("lenient_steps", 5), "schedule.lenient_steps"),
-            cycle=bool(sched.get("cycle", True)),
+            cycle=cycle,
         ),
         threshold_cfg=ThresholdConfig(
             base=_real(thr.get("base", 4.0), "threshold.base"),

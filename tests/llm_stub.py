@@ -8,8 +8,9 @@ a configurable behavior:
     http_error -> a bare 500
     sleep      -> hold the response long enough for the client to time out
 
-Every request increments `hits` on arrival, so retry counts can be
-asserted even when the client has already given up on the connection.
+Every request increments `hits` on arrival and records its headers and
+body, so retry counts and request bytes can be asserted even when the
+client has already given up on the connection.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class _Handler(BaseHTTPRequestHandler):
         with server.lock:
             server.hits += 1
             length = int(self.headers.get("Content-Length", 0))
+            server.request_headers.append(self.headers)
             server.request_bodies.append(self.rfile.read(length))
         behavior = server.behavior
         if behavior == "sleep":
@@ -74,6 +76,7 @@ class StubLLMServer:
         self._httpd.reply_content = reply_content
         self._httpd.sleep_s = sleep_s
         self._httpd.hits = 0
+        self._httpd.request_headers = []
         self._httpd.request_bodies = []
         self._httpd.lock = threading.Lock()
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
@@ -86,6 +89,11 @@ class StubLLMServer:
     @property
     def hits(self) -> int:
         return self._httpd.hits
+
+    @property
+    def request_headers(self) -> list:
+        """Each request's headers (case-insensitive lookup by name)."""
+        return list(self._httpd.request_headers)
 
     @property
     def request_bodies(self) -> list[bytes]:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -189,6 +190,50 @@ def test_simulate_malformed_integer_config_exits_2(tmp_path, capsys, config):
     cfg.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+LLM_URL = "http://127.0.0.1:9/v1/chat/completions"
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"llm": {"endpoint": LLM_URL, "modle": "m"}}, "modle"),
+        ({"llm": {"endpoint": LLM_URL, "retries": -1}}, "llm.retries"),
+        ({"llm": {"endpoint": LLM_URL, "retries": "2"}}, "llm.retries"),
+        ({"llm": {"endpoint": LLM_URL, "retries": 1.5}}, "llm.retries"),
+        ({"llm": {"endpoint": LLM_URL, "retries": True}}, "llm.retries"),
+        ({"llm": {"endpoint": LLM_URL, "timeout": "x"}}, "llm.timeout"),
+        ({"llm": {"endpoint": LLM_URL, "timeout": 0}}, "llm.timeout"),
+        ({"llm": {"endpoint": LLM_URL, "timeout": -1.0}}, "llm.timeout"),
+        ({"llm": {"endpoint": LLM_URL, "timeout": math.inf}}, "llm.timeout"),
+        ({"llm": {"endpoint": 5}}, "llm.endpoint"),
+        ({"llm": {"endpoint": LLM_URL, "model": 5}}, "llm.model"),
+        ({"llm": {"endpoint": LLM_URL, "api_key_env": None}}, "llm.api_key_env"),
+        ({"llm": {"endpoint": "file:///etc/hostname"}}, "llm.endpoint"),
+        ({"llm": {"endpoint": "ftp://127.0.0.1/v1"}}, "llm.endpoint"),
+        ({"llm": {"endpoint": "data:text/plain,x"}}, "llm.endpoint"),
+        ({"llm": {"model": "m"}}, "endpoint"),
+        ({"llm": [LLM_URL]}, "llm"),
+        ({"schedule": 5}, "schedule"),
+        ({"schedule": None}, "schedule"),
+        ({"threshold": [4.0]}, "threshold"),
+        ({"schedule": {"cycle": "false"}}, "schedule.cycle"),
+        ({"schedule": {"cycle": 0}}, "schedule.cycle"),
+    ],
+)
+def test_simulate_malformed_config_block_exits_2(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"total_steps": 2, **config}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://127.0.0.1/v1", "data:text/plain,x"])
+def test_simulate_non_http_llm_endpoint_flag_exits_2(tmp_path, capsys, endpoint):
+    code = main(["simulate", "--out", str(tmp_path), "--steps", "1", "--policy", "llm", "--llm-endpoint", endpoint])
+    assert code == 2
+    assert "llm.endpoint must be an http or https URL" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -6,6 +6,7 @@ import pytest
 
 from regflow.agents import (
     AgentDecision,
+    ClientConfig,
     DEFAULT_PROFILES,
     ManufacturerProfile,
     ParameterAdjustment,
@@ -235,6 +236,20 @@ class TestConfigParsing:
 
         config = small_config(total_steps=9, threshold_cfg=ThresholdConfig(window=3), llm_concurrency=2)
         assert _config_to_dict(_config_from_dict(_config_to_dict(config))) == _config_to_dict(config)
+
+    def test_llm_block_reads_back(self):
+        from regflow.simulation import _config_from_dict, _config_to_dict
+
+        cfg = _config_from_dict({"llm": {"endpoint": "https://h/v1", "retries": 3.0, "timeout": 5}})
+        assert cfg.llm == ClientConfig(endpoint="https://h/v1", timeout=5.0, retries=3)
+        assert type(cfg.llm.retries) is int and type(cfg.llm.timeout) is float
+        assert _config_to_dict(_config_from_dict(_config_to_dict(cfg))) == _config_to_dict(cfg)
+
+    @pytest.mark.parametrize("cycle", [True, False])
+    def test_cycle_takes_json_bools(self, cycle):
+        from regflow.simulation import _config_from_dict
+
+        assert _config_from_dict({"schedule": {"cycle": cycle}}).schedule.cycle is cycle
 
 
 class TestRunScripted:
