@@ -75,6 +75,29 @@ class ManufacturerProfile:
     focus: str
 
 
+def _profile_from_dict(data, where: str) -> ManufacturerProfile:
+    """One profile from a JSON object: `id` and `resource_tier` are required
+    strings; `name` (default: the id), `risk_preference` and `focus` are
+    strings and `ai_investment_fraction` a number. An unknown key or a value
+    of another type raises ArgumentError; `where` names the entry."""
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{where} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(ManufacturerProfile)})
+    if unknown:
+        raise ArgumentError(f"{where} has unknown keys: {unknown}")
+    for key in ("id", "resource_tier"):
+        if key not in data:
+            raise ArgumentError(f"{where} is missing {key!r}")
+    values = {"name": data["id"], "risk_preference": "medium", "focus": "", **data}
+    for key in ("id", "name", "resource_tier", "risk_preference", "focus"):
+        if not isinstance(values[key], str):
+            raise ArgumentError(f"{where}: {key} must be a string, got {values[key]!r}")
+    values["ai_investment_fraction"] = _real(
+        data.get("ai_investment_fraction", 0.05), f"{where}: ai_investment_fraction"
+    )
+    return ManufacturerProfile(**values)
+
+
 def _check_profile(profile: ManufacturerProfile) -> None:
     if profile.resource_tier not in RESOURCE_TIERS:
         raise ArgumentError(f"unknown resource tier {profile.resource_tier!r}")

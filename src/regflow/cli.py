@@ -9,8 +9,11 @@ Subcommands:
     corpus print  dump the regulation corpus as JSON
 
 Exit codes: 0 success, 2 input or configuration error, 3 numerical error.
-All randomness flows from the single --seed; the API key for the llm
-policy is read from the environment variable REGFLOW_API_KEY only.
+The only randomness is in calibrate, whose --seed draws the restart
+points; simulate records its --seed in result.json and draws nothing from
+it. The API key for the llm policy is read from the environment variable
+named by llm.api_key_env (default REGFLOW_API_KEY), never from a flag or
+a file.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .agents import ClientConfig, DEFAULT_PROFILES, ManufacturerProfile
+from .agents import ClientConfig, DEFAULT_PROFILES, ManufacturerProfile, _profile_from_dict
 from .analysis import (
     DEFAULT_EPSILON,
     bonferroni_pairwise,
@@ -51,7 +54,6 @@ from .simulation import (
     SimulationConfig,
     SimulationResult,
     _config_from_dict,
-    _write_json,
     default_initial,
     result_from_json_dict,
     run,
@@ -92,6 +94,15 @@ def _load_json(path: str) -> dict | list:
         raise ArgumentError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _write_json(obj, path: str) -> None:
+    """fit.json and metrics.json: sorted keys, indent 2, a final newline. The
+    text is built before the file is opened, so a value JSON cannot hold
+    raises TypeError and leaves an earlier file whole."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _params_from_dict(data, where: str) -> ModelParameters:
     """DEFAULT_PARAMETERS overlaid with a JSON object {name: number};
     `where` names the source in errors."""
@@ -113,22 +124,7 @@ def _load_profiles(path: str | None) -> list[ManufacturerProfile]:
     data = _load_json(path)
     if not isinstance(data, list):
         raise ArgumentError(f"profile file {path} must hold a JSON array")
-    profiles = []
-    for i, entry in enumerate(data):
-        try:
-            profiles.append(
-                ManufacturerProfile(
-                    id=entry["id"],
-                    name=entry.get("name", entry["id"]),
-                    resource_tier=entry["resource_tier"],
-                    risk_preference=entry.get("risk_preference", "medium"),
-                    ai_investment_fraction=float(entry.get("ai_investment_fraction", 0.05)),
-                    focus=entry.get("focus", ""),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ArgumentError(f"profile entry {i} is invalid: {exc}") from None
-    return profiles
+    return [_profile_from_dict(entry, f"profile entry {i}") for i, entry in enumerate(data)]
 
 
 def _parse_formats(spec: str) -> set[str]:
@@ -152,6 +148,34 @@ def _ensure_outdir(path: str) -> str:
 # simulate
 # ---------------------------------------------------------------------------
 
+#: The keys a --config file may hold, by the path of the object that holds
+#: them. The llm block, param_bounds and initial.params check their own keys.
+CONFIG_KEYS = {
+    (): (
+        "total_steps", "dt_per_step", "inner_substeps", "schedule", "threshold",
+        "param_bounds", "max_step", "seed", "policy_kind", "llm", "llm_concurrency",
+        "initial", "profiles_file", "corpus_file", "script_file",
+    ),
+    ("schedule",): ("strict_steps", "lenient_steps", "cycle"),
+    ("threshold",): ("base", "kappa", "window", "floor", "ceiling"),
+    ("initial",): ("params", "state"),
+    ("initial", "state"): ("g", "c", "m"),
+}
+
+
+def _check_config_keys(raw: dict) -> None:
+    """ArgumentError for a key CONFIG_KEYS does not list. An object of the
+    wrong type is left to the code that reads it."""
+    for path, allowed in CONFIG_KEYS.items():
+        obj = raw
+        for part in path:
+            obj = obj.get(part) if isinstance(obj, dict) else None
+        if isinstance(obj, dict):
+            unknown = sorted(set(obj) - set(allowed))
+            if unknown:
+                raise ArgumentError(f"config {'.'.join(path) or 'file'} has unknown keys: {unknown}")
+
+
 def _build_manifest(args: argparse.Namespace) -> RunManifest:
     raw: dict = {}
     if args.config is not None:
@@ -159,6 +183,7 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
         if not isinstance(loaded, dict):
             raise ArgumentError(f"config file {args.config} must hold a JSON object")
         raw = loaded
+    _check_config_keys(raw)
     config = _config_from_dict(raw)
     if args.seed is not None:
         config.seed = args.seed
@@ -194,6 +219,10 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
                 c=_real(st.get("c", DEFAULT_INITIAL_STATE.c), "initial.state.c"),
                 m=_real(st.get("m", DEFAULT_INITIAL_STATE.m), "initial.state.m"),
             )
+
+    for key in ("profiles_file", "corpus_file", "script_file"):
+        if not isinstance(raw.get(key, ""), str):
+            raise ArgumentError(f"config {key} must be a string path, got {raw[key]!r}")
 
     return RunManifest(
         config=config,
@@ -354,7 +383,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         raise ArgumentError(f"result file {args.result} must hold a JSON object")
     try:
         result = result_from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArgumentError, KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed result file {args.result}: {exc}") from None
     if not result.records:
         raise ArgumentError("result contains no step records")

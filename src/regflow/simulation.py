@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Mapping
 
 from .agents import (
     DEFAULT_MAX_STEP,
@@ -29,6 +29,7 @@ from .agents import (
     ManufacturerProfile,
     ParameterAdjustment,
     PolicyEnv,
+    _profile_from_dict,
     apply_adjustments,
     llm_policy_decide,
     rule_policy_decide,
@@ -368,9 +369,12 @@ def script_from_json_list(data: list[dict]) -> dict[tuple[int, str], AgentDecisi
     script: dict[tuple[int, str], AgentDecision] = {}
     for i, entry in enumerate(data):
         try:
-            key = (int(entry["step"]), str(entry["agent"]))
+            agent = entry["agent"]
+            if not isinstance(agent, str):
+                raise ArgumentError(f"agent must be a string, got {agent!r}")
+            key = (_integer(entry["step"], "step"), agent)
             script[key] = _decision_from_dict(entry["decision"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ArgumentError, KeyError, TypeError, ValueError) as exc:
             raise ArgumentError(f"script entry {i} is invalid: {exc}") from None
     return script
 
@@ -413,7 +417,11 @@ def _decision_to_dict(d: AgentDecision) -> dict:
 
 
 def _decision_from_dict(data: dict) -> AgentDecision:
+    if not isinstance(data, dict):
+        raise ArgumentError(f"decision must be a JSON object, got {data!r}")
     sub = data.get("submission")
+    if not (sub is None or isinstance(sub, dict)):
+        raise ArgumentError(f"decision.submission must be a JSON object or null, got {sub!r}")
     submission = None
     if sub is not None:
         submission = Submission(
@@ -456,17 +464,7 @@ def _config_to_dict(config: SimulationConfig) -> dict:
         "max_step": config.max_step,
         "seed": config.seed,
         "policy_kind": config.policy_kind,
-        "llm": (
-            None
-            if config.llm is None
-            else {
-                "endpoint": config.llm.endpoint,
-                "model": config.llm.model,
-                "timeout": config.llm.timeout,
-                "retries": config.llm.retries,
-                "api_key_env": config.llm.api_key_env,
-            }
-        ),
+        "llm": None if config.llm is None else asdict(config.llm),
         "llm_concurrency": config.llm_concurrency,
     }
 
@@ -512,21 +510,10 @@ def _config_from_dict(data: dict) -> SimulationConfig:
     )
 
 
-def _profile_to_dict(p: ManufacturerProfile) -> dict:
-    return {
-        "id": p.id,
-        "name": p.name,
-        "resource_tier": p.resource_tier,
-        "risk_preference": p.risk_preference,
-        "ai_investment_fraction": p.ai_investment_fraction,
-        "focus": p.focus,
-    }
-
-
 def result_to_json_dict(result: SimulationResult) -> dict:
     return {
         "config": _config_to_dict(result.config),
-        "profiles": [_profile_to_dict(p) for p in result.profiles],
+        "profiles": [asdict(p) for p in result.profiles],
         "clamp_events": result.clamp_events,
         "llm_fallbacks": result.llm_fallbacks,
         "records": [
@@ -555,19 +542,40 @@ def result_to_json_dict(result: SimulationResult) -> dict:
 
 
 def result_from_json_dict(data: dict) -> SimulationResult:
+    """The inverse of result_to_json_dict. ArgumentError when a record's agents
+    are not those of the first record, a state.g, state.c, state.m or
+    market_adaptation value is not a number, or a profile is malformed; other
+    malformed input raises KeyError, TypeError or ValueError."""
     records = []
-    for rec in data["records"]:
+    for i, rec in enumerate(data["records"]):
+        raw_agents = rec["agents"]
+        if not isinstance(raw_agents, dict):
+            raise ArgumentError(f"record {i}: agents must be a JSON object, got {raw_agents!r}")
+        if records and raw_agents.keys() != records[0].agents.keys():
+            raise ArgumentError(
+                f"record {i}: agents {sorted(raw_agents)} differ from record 0's "
+                f"{sorted(records[0].agents)}"
+            )
         agents = {}
-        for aid, ar in rec["agents"].items():
+        for aid, ar in raw_agents.items():
+            state = SystemState(**ar["state"])
+            adaptation = ar["market_adaptation"]
+            for name, value in (
+                ("state.g", state.g), ("state.c", state.c), ("state.m", state.m),
+                ("market_adaptation", adaptation),
+            ):
+                # a float always passes _real; only other values need its check
+                if type(value) is not float:
+                    _real(value, f"record {i}, agent {aid}: {name}")
             agents[aid] = AgentStepRecord(
                 params=ModelParameters(**ar["params"]),
-                state=SystemState(**ar["state"]),
+                state=state,
                 f=ar["f"],
                 decision=_decision_from_dict(ar["decision"]),
                 brr=ar["brr"],
                 approved=ar["approved"],
                 compliance_cost=ar["compliance_cost"],
-                market_adaptation=ar["market_adaptation"],
+                market_adaptation=adaptation,
             )
         records.append(
             StepRecord(
@@ -578,7 +586,9 @@ def result_from_json_dict(data: dict) -> SimulationResult:
                 mean_feedback=rec["mean_feedback"],
             )
         )
-    profiles = [ManufacturerProfile(**p) for p in data.get("profiles", [])]
+    profiles = [
+        _profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))
+    ]
     return SimulationResult(
         records=records,
         config=_config_from_dict(data.get("config", {})),
@@ -588,130 +598,13 @@ def result_from_json_dict(data: dict) -> SimulationResult:
     )
 
 
-_float_repr = float.__repr__
-_int_repr = int.__repr__
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return _float_repr(x)
-
-
-def _json_chunks(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, in
-    pieces: each member of the top two levels of containers is its own piece,
-    so that no piece holds a large document whole. Like json, a value or key
-    that JSON cannot hold raises TypeError.
-
-    ``json.dump`` with ``indent`` always runs json's pure-Python encoder and
-    hands the file thousands of tiny chunks; this one builds each deeper value
-    as one string, with exact-type checks first and json's isinstance order
-    behind them.
-    """
-    keys: dict[str, str] = {}
-    # layout[k] = (newline + k indents, comma + newline + k indents)
-    layout = [("\n", ",\n")]
-
-    def at(level: int) -> tuple[str, str]:
-        if level == len(layout):
-            layout.append(("\n" + "  " * level, ",\n" + "  " * level))
-        return layout[level]
-
-    def key_text(k) -> str:
-        if isinstance(k, str):
-            text = keys[k] = _encode_str(k) + ": "
-            return text
-        # json writes a number, bool or None key as the quoted text of the value
-        if k is not None and not isinstance(k, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-        return _encode_str(enc(k, 0)) + ": "
-
-    def enc(o, level: int) -> str:
-        t = type(o)
-        if t is float:
-            return _float_repr(o) if o - o == 0.0 else _float_text(o)
-        if t is str:
-            return _encode_str(o)
-        if t is dict:
-            return enc_dict(o, level)
-        if t is list or t is tuple:
-            return enc_list(o, level)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if t is int:
-            return _int_repr(o)
-        if isinstance(o, str):
-            return _encode_str(o)
-        if isinstance(o, int):
-            return _int_repr(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        if isinstance(o, (list, tuple)):
-            return enc_list(o, level)
-        if isinstance(o, dict):
-            return enc_dict(o, level)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    def enc_dict(o: dict, level: int) -> str:
-        if not o:
-            return "{}"
-        nl, sep = at(level + 1)
-        parts = []
-        for k, v in sorted(o.items()):
-            kt = keys.get(k) or key_text(k)
-            if type(v) is float and v - v == 0.0:
-                parts.append(kt + _float_repr(v))
-            else:
-                parts.append(kt + enc(v, level + 1))
-        return "{" + nl + sep.join(parts) + layout[level][0] + "}"
-
-    def enc_list(o, level: int) -> str:
-        if not o:
-            return "[]"
-        nl, sep = at(level + 1)
-        return "[" + nl + sep.join([enc(v, level + 1) for v in o]) + layout[level][0] + "]"
-
-    def pieces(o, level: int) -> Iterator[str]:
-        t = type(o)
-        if level == 2 or not (t is dict or t is list or t is tuple) or not o:
-            yield enc(o, level)
-            return
-        nl, sep = at(level + 1)
-        if t is dict:
-            yield "{"
-            for i, (k, v) in enumerate(sorted(o.items())):
-                yield (sep if i else nl) + key_text(k)
-                yield from pieces(v, level + 1)
-            yield layout[level][0] + "}"
-        else:
-            yield "["
-            for i, v in enumerate(o):
-                yield sep if i else nl
-                yield from pieces(v, level + 1)
-            yield layout[level][0] + "]"
-
-    yield from pieces(obj, 0)
-    yield "\n"
-
-
-def _write_json(obj, path) -> None:
-    """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to path."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_json_chunks(obj))
-
-
 def write_result_json(result: SimulationResult, path) -> None:
-    _write_json(result_to_json_dict(result), path)
+    """Compact sorted JSON plus a newline. The newline is a second write:
+    appending it to the text would copy the whole document once more."""
+    text = json.dumps(result_to_json_dict(result), sort_keys=True, separators=(",", ":"))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def write_result_csv(result: SimulationResult, path) -> None:

@@ -7,6 +7,7 @@ import pytest
 
 from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.cli import main
+from regflow.corpus import build_default_corpus, corpus_to_json_list
 from regflow.dynamics import DEFAULT_PARAMETERS, ModelParameters, PARAM_FIELDS, SystemState
 
 
@@ -229,6 +230,126 @@ def test_simulate_malformed_config_block_exits_2(tmp_path, capsys, config, field
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"total_step": 5}, "total_step"),
+        ({"schedule": {"strict": 2}}, "strict"),
+        ({"threshold": {"bse": 4.0}}, "bse"),
+        ({"initial": {"stat": {"g": 0.5}}}, "stat"),
+        ({"initial": {"state": {"g": 0.5, "t": 1.0}}}, "'t'"),
+        ({"profiles_file": ["profiles.json"]}, "profiles_file"),
+    ],
+)
+def test_simulate_unknown_or_mistyped_config_key_exits_2(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"total_steps": 2, **config}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_simulate_accepts_every_result_config_key_and_manifest_key(tmp_path):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--out", str(run_dir), "--steps", "2"]) == 0
+    config = json.loads((run_dir / "result.json").read_text())["config"]
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps([{"id": "A", "resource_tier": "rich"}]))
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(corpus_to_json_list(build_default_corpus())))
+    config.update(
+        initial={"params": {"alpha1": 0.5}, "state": {"g": 0.5, "c": 0.5, "m": 0.5}},
+        profiles_file=str(profiles),
+        corpus_file=str(corpus),
+        script_file=str(tmp_path / "unused-by-the-rule-policy.json"),
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "again")]) == 0
+
+
+PROFILE = {
+    "id": "A",
+    "name": "Maker A",
+    "resource_tier": "rich",
+    "risk_preference": "low",
+    "ai_investment_fraction": 0.1,
+    "focus": "imaging",
+}
+
+
+def test_simulate_with_valid_profiles_file(tmp_path):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps([PROFILE, {"id": "B", "resource_tier": "limited"}]))
+    assert main(["simulate", "--profiles", str(path), "--steps", "2", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "result.json").read_text())
+    assert data["profiles"][1] == {
+        "id": "B",
+        "name": "B",
+        "resource_tier": "limited",
+        "risk_preference": "medium",
+        "ai_investment_fraction": 0.05,
+        "focus": "",
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (5, "must be a JSON object"),
+        (["A", "rich"], "must be a JSON object"),
+        ({**PROFILE, "ai_investment_fraction": "x"}, "ai_investment_fraction must be a number"),
+        ({**PROFILE, "ai_investment_fraction": True}, "ai_investment_fraction must be a number"),
+        ({**PROFILE, "id": 5}, "id must be a string"),
+        ({**PROFILE, "name": 5}, "name must be a string"),
+        ({**PROFILE, "resource_tier": ["rich"]}, "resource_tier must be a string"),
+        ({**PROFILE, "risk_preference": None}, "risk_preference must be a string"),
+        ({**PROFILE, "focus": 1.5}, "focus must be a string"),
+        ({**PROFILE, "tier": "rich"}, "unknown keys: ['tier']"),
+        ({"name": "no id", "resource_tier": "rich"}, "missing 'id'"),
+    ],
+)
+def test_simulate_malformed_profile_exits_2(tmp_path, capsys, entry, message):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["simulate", "--profiles", str(path), "--steps", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "profile entry 0" in err and message in err
+
+
+HOLD = {"comply": False, "adjustments": {}, "submission": None, "rationale": "", "warnings": [], "fallback": None}
+
+
+def run_script(tmp_path, script) -> int:
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps([PROFILE]))
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    return main([
+        "simulate", "--policy", "scripted", "--profiles", str(profiles), "--script", str(path),
+        "--steps", "1", "--out", str(tmp_path),
+    ])
+
+
+def test_simulate_scripted_from_file(tmp_path):
+    assert run_script(tmp_path, [{"step": 0, "agent": "A", "decision": HOLD}]) == 0
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"step": 0, "agent": "A", "decision": "x"}, "decision must be a JSON object"),
+        ({"step": 0, "agent": "A", "decision": {**HOLD, "submission": "x"}}, "submission must be a JSON object"),
+        ({"step": "0", "agent": "A", "decision": HOLD}, "step must be an integer"),
+        ({"step": 1.7, "agent": "A", "decision": HOLD}, "step must be an integer"),
+        ({"step": 0, "agent": 1, "decision": HOLD}, "agent must be a string"),
+    ],
+)
+def test_simulate_malformed_script_exits_2(tmp_path, capsys, entry, message):
+    assert run_script(tmp_path, [entry]) == 2
+    err = capsys.readouterr().err
+    assert "script entry 0 is invalid" in err and message in err
+
+
 @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://127.0.0.1/v1", "data:text/plain,x"])
 def test_simulate_non_http_llm_endpoint_flag_exits_2(tmp_path, capsys, endpoint):
     code = main(["simulate", "--out", str(tmp_path), "--steps", "1", "--policy", "llm", "--llm-endpoint", endpoint])
@@ -321,6 +442,27 @@ class TestMetricsCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"records": [{"oops": 1}]}))
         assert main(["metrics", "--result", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d["records"][0].update(agents=[]), "record 0: agents must be a JSON object"),
+            (lambda d: d["records"][2]["agents"].pop("B"), "record 2: agents"),
+            (lambda d: d["records"][1]["agents"]["A"]["state"].update(c="x"), "record 1, agent A: state.c"),
+            (lambda d: d["records"][4]["agents"]["J"]["state"].update(g=None), "record 4, agent J: state.g"),
+            (lambda d: d["records"][-1]["agents"]["C"].update(market_adaptation="0.4"), "market_adaptation"),
+            (lambda d: d["profiles"][0].update(resource_tier=5), "profile 0: resource_tier"),
+            (lambda d: d["profiles"][3].update(id=["D"]), "profile 3: id"),
+        ],
+    )
+    def test_inconsistent_result_exits_2(self, result_path, tmp_path, capsys, corrupt, message):
+        data = json.loads(result_path.read_text())
+        corrupt(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["metrics", "--result", str(bad), "--groups", "auto", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed result file" in err and message in err
 
     def test_missing_result_exits_2(self, tmp_path):
         assert main(["metrics", "--result", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2

@@ -1,5 +1,7 @@
-"""The one JSON writer behind result.json, fit.json and metrics.json: its
-bytes are those of json.dumps(obj, sort_keys=True, indent=2) plus a newline."""
+"""The JSON outputs: result.json is compact sorted JSON plus a newline, and
+fit.json and metrics.json are json.dumps(obj, sort_keys=True, indent=2)
+plus a newline. Every output is the text json.dumps gives for its own
+parsed content, and a rerun writes the same bytes."""
 
 import json
 import math
@@ -12,14 +14,12 @@ from hypothesis import strategies as st
 from regflow.agents import DEFAULT_PROFILES, AgentDecision, ClientConfig, ParameterAdjustment
 from regflow.brr import Submission
 from regflow.calibration import generate_synthetic, write_series_csv
-from regflow.cli import main
+from regflow.cli import _write_json, main
 from regflow.corpus import build_default_corpus
 from regflow.dynamics import DEFAULT_PARAMETERS, SystemState
 from regflow.simulation import (
     SimulationConfig,
-    _json_chunks,
     default_initial,
-    result_to_json_dict,
     run,
     run_scripted,
     write_result_json,
@@ -34,11 +34,11 @@ def reference(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def encoded(obj) -> str:
-    return "".join(_json_chunks(obj))
+def compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-awkward_text = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "naïve", " ", "\U0001f600", '"\\/\n\t'])
+awkward_text = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "naïve", " ", "\U0001f600", '"\\/\n\t'])
 scalars = (
     st.none()
     | st.booleans()
@@ -58,22 +58,35 @@ trees = st.recursive(
 )
 
 
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("indent2") / "out.json"
+
+
 class TestEncoderMatchesJson:
+    """cli._write_json, the writer of fit.json and metrics.json: its file
+    holds the ASCII text of json.dumps(obj, sort_keys=True, indent=2) and a
+    "\\n", whatever the platform's line ending."""
+
+    def written(self, obj, path) -> str:
+        _write_json(obj, path)
+        return path.read_bytes().decode("ascii")
+
     @settings(max_examples=300, deadline=None)
-    @given(trees)
-    @example({"a": math.nan, "b": math.inf, "c": -math.inf, "d": [math.nan, -math.inf]})
-    @example({"\x01kéy": "v\x1fü", "\U0001f600": ["\n", " "]})
-    @example({"x": {}, "y": [], "z": [{}, [[]], {"w": {}}]})
-    @example([(1, True, 0, False, (None,)), 2**100, -(2**90), 1.0, 1])
-    @example({"f": np.float64(0.1), "g": [np.float64(math.nan), np.float64(-math.inf)]})
-    @example([[[[[[{"deep": [1.5]}]]]]]])
-    def test_equals_json_dumps(self, tree):
-        assert encoded(tree) == reference(tree)
+    @given(tree=trees)
+    @example(tree={"a": math.nan, "b": math.inf, "c": -math.inf, "d": [math.nan, -math.inf]})
+    @example(tree={"\x01kéy": "v\x1fü", "\U0001f600": ["\n", " "]})
+    @example(tree={"x": {}, "y": [], "z": [{}, [[]], {"w": {}}]})
+    @example(tree=[(1, True, 0, False, (None,)), 2**100, -(2**90), 1.0, 1])
+    @example(tree={"f": np.float64(0.1), "g": [np.float64(math.nan), np.float64(-math.inf)]})
+    @example(tree=[[[[[[{"deep": [1.5]}]]]]]])
+    def test_equals_json_dumps(self, out_path, tree):
+        assert self.written(tree, out_path) == reference(tree)
 
     @pytest.mark.parametrize("key", [3, -7, 2.5, math.inf, math.nan, True, False, None])
-    def test_non_str_scalar_keys_are_coerced_like_json(self, key):
+    def test_non_str_scalar_keys_are_coerced_like_json(self, tmp_path, key):
         tree = {"outer": {key: [1]}}
-        assert encoded(tree) == reference(tree)
+        assert self.written(tree, tmp_path / "out.json") == reference(tree)
 
     @pytest.mark.parametrize(
         "value",
@@ -86,11 +99,14 @@ class TestEncoderMatchesJson:
             {"deep": [{"set": frozenset()}]},
         ],
     )
-    def test_unsupported_values_raise_type_error(self, value):
+    def test_unsupported_values_raise_type_error(self, tmp_path, value):
+        # the text is built before the file is opened: a value JSON cannot
+        # hold leaves an earlier output whole
+        path = tmp_path / "out.json"
+        path.write_text("earlier\n")
         with pytest.raises(TypeError):
-            json.dumps(value, sort_keys=True, indent=2)
-        with pytest.raises(TypeError):
-            encoded(value)
+            _write_json(value, path)
+        assert path.read_text() == "earlier\n"
 
 
 def small_config(**overrides):
@@ -99,17 +115,22 @@ def small_config(**overrides):
     return SimulationConfig(**defaults)
 
 
-def assert_result_bytes(result, tmp_path):
-    path = tmp_path / "result.json"
-    write_result_json(result, path)
-    assert path.read_bytes() == reference(result_to_json_dict(result)).encode("ascii")
+def assert_result_bytes(first, second, tmp_path):
+    """result.json of two runs of the same inputs: compact sorted JSON plus a
+    newline, and the same bytes both times."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_result_json(first, a)
+    write_result_json(second, b)
+    raw = a.read_bytes()
+    assert raw == compact(json.loads(raw)).encode("ascii")
+    assert b.read_bytes() == raw
 
 
 class TestResultFiles:
     def test_default_rule_run(self, tmp_path):
         profiles = list(DEFAULT_PROFILES)
-        result = run(SimulationConfig(), profiles, default_initial(profiles), CORPUS)
-        assert_result_bytes(result, tmp_path)
+        first, second = (run(SimulationConfig(), profiles, default_initial(profiles), CORPUS) for _ in range(2))
+        assert_result_bytes(first, second, tmp_path)
 
     def test_scripted_run_with_abstentions_and_warnings(self, tmp_path):
         profiles = list(DEFAULT_PROFILES)[:3]
@@ -132,11 +153,14 @@ class TestResultFiles:
                         rationale="file",
                     )
         config = small_config(policy_kind="scripted")
-        result = run_scripted(config, profiles, default_initial(profiles), CORPUS, script)
-        data = result_to_json_dict(result)
+        first, second = (
+            run_scripted(config, profiles, default_initial(profiles), CORPUS, script) for _ in range(2)
+        )
+        write_result_json(first, tmp_path / "result.json")
+        data = json.loads((tmp_path / "result.json").read_bytes())
         decisions = [a["decision"] for rec in data["records"] for a in rec["agents"].values()]
         assert any(d["submission"] is None and d["adjustments"] == {} and d["warnings"] for d in decisions)
-        assert_result_bytes(result, tmp_path)
+        assert_result_bytes(first, second, tmp_path)
 
     def test_llm_run_with_fallbacks(self, tmp_path):
         profiles = list(DEFAULT_PROFILES)[:3]
@@ -146,17 +170,18 @@ class TestResultFiles:
                 policy_kind="llm",
                 llm=ClientConfig(endpoint=server.url, model="stub", timeout=5.0, retries=1),
             )
-            result = run(config, profiles, default_initial(profiles), CORPUS)
-        assert result.llm_fallbacks == 6
-        assert_result_bytes(result, tmp_path)
+            first, second = (run(config, profiles, default_initial(profiles), CORPUS) for _ in range(2))
+        assert first.llm_fallbacks == 6
+        assert_result_bytes(first, second, tmp_path)
 
 
 class TestCliFiles:
-    """fit.json and metrics.json are the json.dumps text of their own content."""
+    """fit.json and metrics.json are the indent-2 json.dumps text of their own
+    content; result.json is the compact text of its own."""
 
-    def assert_json_dumps_layout(self, path):
+    def assert_json_dumps_layout(self, path, layout=reference):
         raw = path.read_bytes()
-        assert raw == reference(json.loads(raw)).encode("ascii")
+        assert raw == layout(json.loads(raw)).encode("ascii")
 
     def test_fit_json(self, tmp_path):
         obs = generate_synthetic(DEFAULT_PARAMETERS, SystemState(0.0, 0.4, 0.3, 0.2), 1.0, 0.05, 2, 0.0, 0)
@@ -168,5 +193,5 @@ class TestCliFiles:
         run_dir, met_dir = tmp_path / "run", tmp_path / "met"
         assert main(["simulate", "--out", str(run_dir), "--steps", "12"]) == 0
         assert main(["metrics", "--result", str(run_dir / "result.json"), "--groups", "auto", "--out", str(met_dir)]) == 0
-        self.assert_json_dumps_layout(run_dir / "result.json")
+        self.assert_json_dumps_layout(run_dir / "result.json", layout=compact)
         self.assert_json_dumps_layout(met_dir / "metrics.json")
