@@ -52,10 +52,10 @@ from .dynamics import (
 from .errors import ArgumentError, NumericalError
 from .simulation import (
     SimulationConfig,
-    SimulationResult,
     _config_from_dict,
     default_initial,
-    result_from_json_dict,
+    result_columns,
+    result_from_json_dict,  # unused here; bench/tracing.py wraps it by this module's name
     run,
     run_scripted,
     script_from_json_list,
@@ -148,34 +148,6 @@ def _ensure_outdir(path: str) -> str:
 # simulate
 # ---------------------------------------------------------------------------
 
-#: The keys a --config file may hold, by the path of the object that holds
-#: them. The llm block, param_bounds and initial.params check their own keys.
-CONFIG_KEYS = {
-    (): (
-        "total_steps", "dt_per_step", "inner_substeps", "schedule", "threshold",
-        "param_bounds", "max_step", "seed", "policy_kind", "llm", "llm_concurrency",
-        "initial", "profiles_file", "corpus_file", "script_file",
-    ),
-    ("schedule",): ("strict_steps", "lenient_steps", "cycle"),
-    ("threshold",): ("base", "kappa", "window", "floor", "ceiling"),
-    ("initial",): ("params", "state"),
-    ("initial", "state"): ("g", "c", "m"),
-}
-
-
-def _check_config_keys(raw: dict) -> None:
-    """ArgumentError for a key CONFIG_KEYS does not list. An object of the
-    wrong type is left to the code that reads it."""
-    for path, allowed in CONFIG_KEYS.items():
-        obj = raw
-        for part in path:
-            obj = obj.get(part) if isinstance(obj, dict) else None
-        if isinstance(obj, dict):
-            unknown = sorted(set(obj) - set(allowed))
-            if unknown:
-                raise ArgumentError(f"config {'.'.join(path) or 'file'} has unknown keys: {unknown}")
-
-
 def _build_manifest(args: argparse.Namespace) -> RunManifest:
     raw: dict = {}
     if args.config is not None:
@@ -183,7 +155,6 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
         if not isinstance(loaded, dict):
             raise ArgumentError(f"config file {args.config} must hold a JSON object")
         raw = loaded
-    _check_config_keys(raw)
     config = _config_from_dict(raw)
     if args.seed is not None:
         config.seed = args.seed
@@ -352,12 +323,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # metrics
 # ---------------------------------------------------------------------------
 
-def _parse_groups_spec(spec: str, result: SimulationResult) -> dict[str, list[str]]:
+def _parse_groups_spec(spec: str, profiles: list[ManufacturerProfile]) -> dict[str, list[str]]:
     if spec == "auto":
         groups: dict[str, list[str]] = {}
-        if not result.profiles:
+        if not profiles:
             raise ArgumentError("result carries no profiles; pass an explicit --groups spec")
-        for profile in result.profiles:
+        for profile in profiles:
             groups.setdefault(profile.resource_tier, []).append(profile.id)
         return {name: sorted(ids) for name, ids in sorted(groups.items())}
     groups = {}
@@ -382,18 +353,16 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if not isinstance(data, dict):
         raise ArgumentError(f"result file {args.result} must hold a JSON object")
     try:
-        result = result_from_json_dict(data)
+        columns = result_columns(data)
     except (ArgumentError, KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed result file {args.result}: {exc}") from None
-    if not result.records:
+    if not columns.steps:
         raise ArgumentError("result contains no step records")
 
-    agent_ids = sorted(result.records[0].agents.keys())
+    agent_ids = sorted(columns.final_m)
     report: dict = {"epsilon": args.epsilon, "per_agent": {}}
     for aid in agent_ids:
-        c_series = [rec.agents[aid].state.c for rec in result.records]
-        g_series = [rec.agents[aid].state.g for rec in result.records]
-        rep = metrics_report(c_series, g_series, args.epsilon)
+        rep = metrics_report(columns.c[aid], columns.g[aid], args.epsilon)
         report["per_agent"][aid] = rep.to_json_dict()
         print(
             f"{aid}: adherence={rep.adherence_accuracy:.4f} "
@@ -402,15 +371,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         )
 
     if args.groups is not None:
-        groups = _parse_groups_spec(args.groups, result)
-        terminal = {
-            aid: result.records[-1].agents[aid].market_adaptation for aid in agent_ids
-        }
-        missing = [a for ids in groups.values() for a in ids if a not in terminal]
+        groups = _parse_groups_spec(args.groups, columns.profiles)
+        missing = [a for ids in groups.values() for a in ids if a not in columns.final_m]
         if missing:
             raise ArgumentError(f"group members not present in result: {missing}")
         labels = list(groups.keys())
-        samples = [[terminal[a] for a in groups[name]] for name in labels]
+        samples = [[columns.final_m[a] for a in groups[name]] for name in labels]
         anova = welch_anova(samples)
         pairwise = bonferroni_pairwise(samples, labels=labels)
         report["groups"] = {

@@ -62,6 +62,7 @@ __all__ = [
     "extract_script",
     "result_to_json_dict",
     "result_from_json_dict",
+    "result_columns",
     "write_result_json",
     "write_result_csv",
 ]
@@ -335,7 +336,19 @@ def run_scripted(
     corpus: list[Regulation],
     script: Mapping[tuple[int, str], AgentDecision],
 ) -> SimulationResult:
-    """Replay decisions from a script keyed by (step, agent_id)."""
+    """Replay decisions from a script keyed by (step, agent_id). Every key
+    must name a step of the run and an agent of the roster."""
+    _check_config(config)
+    ids = {p.id for p in profiles}
+    for step, aid in sorted(script):
+        if aid not in ids:
+            raise ArgumentError(
+                f"script entry for step {step} names agent {aid!r}, which is not in the roster"
+            )
+        if not 0 <= step < config.total_steps:
+            raise ArgumentError(
+                f"script entry for agent {aid!r} has step {step}, outside 0-{config.total_steps - 1}"
+            )
 
     def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
         out = {}
@@ -366,7 +379,10 @@ def script_to_json_list(script: Mapping[tuple[int, str], AgentDecision]) -> list
 
 
 def script_from_json_list(data: list[dict]) -> dict[tuple[int, str], AgentDecision]:
+    """A script from its JSON entries; ArgumentError for a malformed entry or
+    a second entry for the same (step, agent)."""
     script: dict[tuple[int, str], AgentDecision] = {}
+    first: dict[tuple[int, str], int] = {}
     for i, entry in enumerate(data):
         try:
             agent = entry["agent"]
@@ -376,6 +392,11 @@ def script_from_json_list(data: list[dict]) -> dict[tuple[int, str], AgentDecisi
             script[key] = _decision_from_dict(entry["decision"])
         except (ArgumentError, KeyError, TypeError, ValueError) as exc:
             raise ArgumentError(f"script entry {i} is invalid: {exc}") from None
+        if key in first:
+            raise ArgumentError(
+                f"script entries {first[key]} and {i} both give step {key[0]}, agent {agent!r}"
+            )
+        first[key] = i
     return script
 
 
@@ -476,7 +497,37 @@ def _object(data: dict, key: str) -> dict:
     return value
 
 
+#: The keys a config object may hold, by the path of the object that holds
+#: them: a `--config` file and the `config` of a result.json. The llm block,
+#: param_bounds and initial.params check their own keys.
+CONFIG_KEYS = {
+    (): (
+        "total_steps", "dt_per_step", "inner_substeps", "schedule", "threshold",
+        "param_bounds", "max_step", "seed", "policy_kind", "llm", "llm_concurrency",
+        "initial", "profiles_file", "corpus_file", "script_file",
+    ),
+    ("schedule",): ("strict_steps", "lenient_steps", "cycle"),
+    ("threshold",): ("base", "kappa", "window", "floor", "ceiling"),
+    ("initial",): ("params", "state"),
+    ("initial", "state"): ("g", "c", "m"),
+}
+
+
+def _check_config_keys(raw: dict) -> None:
+    """ArgumentError for a key CONFIG_KEYS does not list. An object of the
+    wrong type is left to the code that reads it."""
+    for path, allowed in CONFIG_KEYS.items():
+        obj = raw
+        for part in path:
+            obj = obj.get(part) if isinstance(obj, dict) else None
+        if isinstance(obj, dict):
+            unknown = sorted(set(obj) - set(allowed))
+            if unknown:
+                raise ArgumentError(f"{'.'.join(('config',) + path)} has unknown keys: {unknown}")
+
+
 def _config_from_dict(data: dict) -> SimulationConfig:
+    _check_config_keys(data)
     sched = _object(data, "schedule")
     thr = _object(data, "threshold")
     cycle = sched.get("cycle", True)
@@ -541,57 +592,106 @@ def result_to_json_dict(result: SimulationResult) -> dict:
     }
 
 
-def result_from_json_dict(data: dict) -> SimulationResult:
-    """The inverse of result_to_json_dict. ArgumentError when a record's agents
-    are not those of the first record, a state.g, state.c, state.m or
-    market_adaptation value is not a number, or a profile is malformed; other
-    malformed input raises KeyError, TypeError or ValueError."""
-    records = []
-    for i, rec in enumerate(data["records"]):
+_CHECKED_NUMBERS = ("state.g", "state.c", "state.m", "market_adaptation")
+
+
+def _record_columns(records) -> tuple[dict[str, list], dict[str, list], dict[str, float]]:
+    """One pass over the records of a parsed result.json, checking each:
+    ArgumentError when a record's agents are not a JSON object holding
+    record 0's agents, or a state.g, state.c, state.m or market_adaptation
+    value is not a number; KeyError or TypeError for a missing or mistyped
+    record, agent entry or state. Returns each agent's g series, its c
+    series and its last market_adaptation."""
+    g_cols: dict[str, list] = {}
+    c_cols: dict[str, list] = {}
+    raw_agents: dict = {}
+    for i, rec in enumerate(records):
         raw_agents = rec["agents"]
         if not isinstance(raw_agents, dict):
             raise ArgumentError(f"record {i}: agents must be a JSON object, got {raw_agents!r}")
-        if records and raw_agents.keys() != records[0].agents.keys():
+        if i == 0:
+            g_cols = {aid: [] for aid in raw_agents}
+            c_cols = {aid: [] for aid in raw_agents}
+        elif raw_agents.keys() != g_cols.keys():
             raise ArgumentError(
-                f"record {i}: agents {sorted(raw_agents)} differ from record 0's "
-                f"{sorted(records[0].agents)}"
+                f"record {i}: agents {sorted(raw_agents)} differ from record 0's {sorted(g_cols)}"
             )
-        agents = {}
         for aid, ar in raw_agents.items():
-            state = SystemState(**ar["state"])
-            adaptation = ar["market_adaptation"]
-            for name, value in (
-                ("state.g", state.g), ("state.c", state.c), ("state.m", state.m),
-                ("market_adaptation", adaptation),
-            ):
+            state = ar["state"]
+            values = (state["g"], state["c"], state["m"], ar["market_adaptation"])
+            for name, value in zip(_CHECKED_NUMBERS, values):
                 # a float always passes _real; only other values need its check
                 if type(value) is not float:
                     _real(value, f"record {i}, agent {aid}: {name}")
-            agents[aid] = AgentStepRecord(
-                params=ModelParameters(**ar["params"]),
-                state=state,
-                f=ar["f"],
-                decision=_decision_from_dict(ar["decision"]),
-                brr=ar["brr"],
-                approved=ar["approved"],
-                compliance_cost=ar["compliance_cost"],
-                market_adaptation=adaptation,
-            )
-        records.append(
-            StepRecord(
-                step=rec["step"],
-                phase=rec["phase"],
-                agents=agents,
-                threshold=rec["threshold"],
-                mean_feedback=rec["mean_feedback"],
-            )
-        )
+            g_cols[aid].append(values[0])
+            c_cols[aid].append(values[1])
+    final_m = {aid: ar["market_adaptation"] for aid, ar in raw_agents.items()}
+    return g_cols, c_cols, final_m
+
+
+def _result_header(data: dict) -> tuple[SimulationConfig, list[ManufacturerProfile]]:
+    """The checked config and profiles of a parsed result.json."""
     profiles = [
         _profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))
     ]
+    return _config_from_dict(_object(data, "config")), profiles
+
+
+@dataclass
+class ResultColumns:
+    """The part of a result.json that `metrics` reads: per agent, the g and
+    c series over the steps and the last step's market adaptation."""
+
+    steps: int
+    g: dict[str, list[float]]
+    c: dict[str, list[float]]
+    final_m: dict[str, float]
+    config: SimulationConfig
+    profiles: list[ManufacturerProfile]
+
+
+def result_columns(data: dict) -> ResultColumns:
+    """Read a parsed result.json for `metrics`, with the checks of
+    result_from_json_dict on records, profiles and config, without building
+    parameters, decisions or any other field of a record."""
+    g, c, final_m = _record_columns(data["records"])
+    config, profiles = _result_header(data)
+    return ResultColumns(
+        steps=len(data["records"]), g=g, c=c, final_m=final_m, config=config, profiles=profiles
+    )
+
+
+def result_from_json_dict(data: dict) -> SimulationResult:
+    """The inverse of result_to_json_dict, with the checks of _record_columns
+    and _result_header; other malformed input raises KeyError, TypeError or
+    ValueError."""
+    _record_columns(data["records"])
+    records = [
+        StepRecord(
+            step=rec["step"],
+            phase=rec["phase"],
+            agents={
+                aid: AgentStepRecord(
+                    params=ModelParameters(**ar["params"]),
+                    state=SystemState(**ar["state"]),
+                    f=ar["f"],
+                    decision=_decision_from_dict(ar["decision"]),
+                    brr=ar["brr"],
+                    approved=ar["approved"],
+                    compliance_cost=ar["compliance_cost"],
+                    market_adaptation=ar["market_adaptation"],
+                )
+                for aid, ar in rec["agents"].items()
+            },
+            threshold=rec["threshold"],
+            mean_feedback=rec["mean_feedback"],
+        )
+        for rec in data["records"]
+    ]
+    config, profiles = _result_header(data)
     return SimulationResult(
         records=records,
-        config=_config_from_dict(data.get("config", {})),
+        config=config,
         profiles=profiles,
         clamp_events=int(data.get("clamp_events", 0)),
         llm_fallbacks=int(data.get("llm_fallbacks", 0)),

@@ -350,6 +350,22 @@ def test_simulate_malformed_script_exits_2(tmp_path, capsys, entry, message):
     assert "script entry 0 is invalid" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"step": 0, "agent": "A", "decision": {**HOLD, "rationale": "again"}},
+         "script entries 0 and 1 both give step 0, agent 'A'"),
+        ({"step": 1, "agent": "A", "decision": HOLD}, "agent 'A' has step 1, outside 0-0"),
+        ({"step": -1, "agent": "A", "decision": HOLD}, "agent 'A' has step -1, outside 0-0"),
+        ({"step": 0, "agent": "Z", "decision": HOLD}, "names agent 'Z', which is not in the roster"),
+    ],
+)
+def test_simulate_script_entry_beyond_the_run_exits_2(tmp_path, capsys, entry, message):
+    assert run_script(tmp_path, [{"step": 0, "agent": "A", "decision": HOLD}, entry]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
 @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://127.0.0.1/v1", "data:text/plain,x"])
 def test_simulate_non_http_llm_endpoint_flag_exits_2(tmp_path, capsys, endpoint):
     code = main(["simulate", "--out", str(tmp_path), "--steps", "1", "--policy", "llm", "--llm-endpoint", endpoint])
@@ -453,6 +469,12 @@ class TestMetricsCommand:
             (lambda d: d["records"][-1]["agents"]["C"].update(market_adaptation="0.4"), "market_adaptation"),
             (lambda d: d["profiles"][0].update(resource_tier=5), "profile 0: resource_tier"),
             (lambda d: d["profiles"][3].update(id=["D"]), "profile 3: id"),
+            (lambda d: d["config"].update(total_step=5), "config has unknown keys: ['total_step']"),
+            (
+                lambda d: d["config"]["schedule"].update(strict=2),
+                "config.schedule has unknown keys: ['strict']",
+            ),
+            (lambda d: d.update(config=[]), "config must be a JSON object"),
         ],
     )
     def test_inconsistent_result_exits_2(self, result_path, tmp_path, capsys, corrupt, message):
