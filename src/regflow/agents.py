@@ -25,7 +25,7 @@ import ssl
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .brr import Submission
 from .corpus import Regulation
@@ -38,6 +38,7 @@ from .dynamics import (
     _real,
 )
 from .errors import ArgumentError, ReplyParseError
+from .schema import from_json
 
 __all__ = [
     "ManufacturerProfile",
@@ -70,32 +71,16 @@ class ManufacturerProfile:
     id: str
     name: str
     resource_tier: str
-    risk_preference: str
-    ai_investment_fraction: float
-    focus: str
+    risk_preference: str = "medium"
+    ai_investment_fraction: float = 0.05
+    focus: str = ""
 
 
 def _profile_from_dict(data, where: str) -> ManufacturerProfile:
-    """One profile from a JSON object: `id` and `resource_tier` are required
-    strings; `name` (default: the id), `risk_preference` and `focus` are
-    strings and `ai_investment_fraction` a number. An unknown key or a value
-    of another type raises ArgumentError; `where` names the entry."""
-    if not isinstance(data, dict):
-        raise ArgumentError(f"{where} must be a JSON object, got {data!r}")
-    unknown = sorted(set(data) - {f.name for f in fields(ManufacturerProfile)})
-    if unknown:
-        raise ArgumentError(f"{where} has unknown keys: {unknown}")
-    for key in ("id", "resource_tier"):
-        if key not in data:
-            raise ArgumentError(f"{where} is missing {key!r}")
-    values = {"name": data["id"], "risk_preference": "medium", "focus": "", **data}
-    for key in ("id", "name", "resource_tier", "risk_preference", "focus"):
-        if not isinstance(values[key], str):
-            raise ArgumentError(f"{where}: {key} must be a string, got {values[key]!r}")
-    values["ai_investment_fraction"] = _real(
-        data.get("ai_investment_fraction", 0.05), f"{where}: ai_investment_fraction"
-    )
-    return ManufacturerProfile(**values)
+    """One profile from a JSON object, whose `name` defaults to its id;
+    `where` names the entry."""
+    name = {"name": data["id"]} if isinstance(data, dict) and "id" in data else None
+    return from_json(ManufacturerProfile, data, where, name)
 
 
 def _check_profile(profile: ManufacturerProfile) -> None:
@@ -125,19 +110,29 @@ DEFAULT_PROFILES: tuple[ManufacturerProfile, ...] = (
 )
 
 
+def _deltas(data, where: str) -> dict:
+    """Adjustment deltas from a JSON object of numbers, kept as written, so a
+    replayed decision records the numbers it was given."""
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{where} must be a JSON object, got {data!r}")
+    for name, value in data.items():
+        _real(value, f"{where}.{name}")
+    return dict(data)
+
+
 @dataclass(frozen=True)
 class ParameterAdjustment:
-    """Per-step deltas keyed by coefficient name."""
+    """Per-step deltas keyed by coefficient name; in JSON, the deltas object."""
 
-    deltas: dict[str, float]
+    deltas: dict[str, float] = field(metadata={"inline": True, "load": _deltas})
 
 
 @dataclass(frozen=True)
 class AgentDecision:
     comply: bool
-    adjustments: ParameterAdjustment
-    submission: Submission | None
-    rationale: str
+    adjustments: ParameterAdjustment = field(default_factory=lambda: ParameterAdjustment({}))
+    submission: Submission | None = None
+    rationale: str = ""
     warnings: tuple[str, ...] = ()
     fallback: str | None = None
 
@@ -442,19 +437,6 @@ class ClientConfig:
             raise ArgumentError(f"llm.retries must be >= 0, got {retries!r}")
         object.__setattr__(self, "timeout", timeout)
         object.__setattr__(self, "retries", retries)
-
-    @classmethod
-    def from_dict(cls, data) -> "ClientConfig":
-        """The config file's `llm` object; an unknown key or a malformed
-        value raises ArgumentError naming the field."""
-        if not isinstance(data, dict):
-            raise ArgumentError(f"llm must be a JSON object, got {data!r}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ArgumentError(f"llm has unknown keys: {unknown}")
-        if "endpoint" not in data:
-            raise ArgumentError("llm client config requires an 'endpoint'")
-        return cls(**data)
 
 
 @functools.cache

@@ -88,14 +88,6 @@ class MetricsReport:
     epsilon: float
     mean_compliance: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "adherence_accuracy": self.adherence_accuracy,
-            "compliance_stability": self.compliance_stability,
-            "epsilon": self.epsilon,
-            "mean_compliance": self.mean_compliance,
-        }
-
 
 DEFAULT_EPSILON = 0.5
 
@@ -214,15 +206,6 @@ class WelchAnovaResult:
     p_value: float
     variance_explained: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "f_stat": self.f_stat,
-            "df1": self.df1,
-            "df2": self.df2,
-            "p_value": self.p_value,
-            "variance_explained": self.variance_explained,
-        }
-
 
 def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
     if len(groups) < 2:
@@ -293,9 +276,6 @@ class PairwiseComparison:
     pair: tuple[str, str]
     p_raw: float
     p_adjusted: float
-
-    def to_json_dict(self) -> dict:
-        return {"pair": list(self.pair), "p_raw": self.p_raw, "p_adjusted": self.p_adjusted}
 
 
 def bonferroni_pairwise(

@@ -15,7 +15,7 @@ with the market instead of reacting to any single submission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ArgumentError, DomainError
@@ -32,15 +32,26 @@ __all__ = [
 SCORE_FIELDS = ("safety", "effectiveness", "compliance", "adverse")
 
 
+def _score(value, where: str) -> int:
+    """A score read from JSON: an integer as written; 7.0 is refused here as
+    _check_submission refuses it."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ArgumentError(f"{where} must be an integer, got {value!r}")
+
+
+_SCORE = {"load": _score}
+
+
 @dataclass(frozen=True)
 class Submission:
     """A manufacturer's compliance submission."""
 
     agent_id: str
-    safety: int
-    effectiveness: int
-    compliance: int
-    adverse: int
+    safety: int = field(metadata=_SCORE)
+    effectiveness: int = field(metadata=_SCORE)
+    compliance: int = field(metadata=_SCORE)
+    adverse: int = field(metadata=_SCORE)
     regulation_ids: tuple[str, ...] = ()
     narrative: str = ""
 

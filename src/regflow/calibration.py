@@ -28,7 +28,7 @@ from .dynamics import (
     ModelParameters,
     SystemState,
     _check_bound,
-    _exp,
+    _feedback,
     _fmt,
     _integrate_raw,
     _step_count,
@@ -145,16 +145,12 @@ def _residuals(p: ModelParameters, obs: ObservedSeries, dt: float, prep) -> tupl
     """
     steps, idxs = prep
     raw, _ = _integrate_raw(obs.times[0], obs.g_obs[0], obs.c_obs[0], obs.m_obs[0], p, steps, dt)
-    a4, f4, g2 = p.alpha4, p.phi4, p.gamma2
     pred = [raw[idx] for idx in idxs]
     return (
         [o - g for o, (g, _, _) in zip(obs.g_obs, pred)],
         [o - c for o, (_, c, _) in zip(obs.c_obs, pred)],
         [o - m for o, (_, _, m) in zip(obs.m_obs, pred)],
-        [
-            o - a4 * (m * (1.0 - _exp(-f4 * c)) / (1.0 + g2 * c))
-            for o, (_, c, m) in zip(obs.f_obs, pred)
-        ],
+        [o - _feedback(p, c, m) for o, (_, c, m) in zip(obs.f_obs, pred)],
     )
 
 
@@ -404,29 +400,37 @@ def write_series_csv(obs: ObservedSeries, path) -> None:
 
 
 def read_series_csv(path) -> ObservedSeries:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    """A t,G,C,M,F series; ArgumentError naming the path when the file
+    cannot be read, is not UTF-8 text or is not such a CSV."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ArgumentError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ArgumentError(f"{path} is not a CSV file: {exc}") from None
+    if not rows:
+        raise ArgumentError(f"{path}: empty series file")
+    header = rows[0]
+    if [h.strip() for h in header] != ["t", "G", "C", "M", "F"]:
+        raise ArgumentError(f"{path}: expected header t,G,C,M,F, got {header}")
+    times, g, c, m, f = [], [], [], [], []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ArgumentError(f"{path}:{row_no}: expected 5 columns, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ArgumentError(f"{path}: empty series file") from None
-        if [h.strip() for h in header] != ["t", "G", "C", "M", "F"]:
-            raise ArgumentError(f"{path}: expected header t,G,C,M,F, got {header}")
-        times, g, c, m, f = [], [], [], [], []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ArgumentError(f"{path}:{row_no}: expected 5 columns, got {len(row)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise ArgumentError(f"{path}:{row_no}: {exc}") from None
-            times.append(vals[0])
-            g.append(vals[1])
-            c.append(vals[2])
-            m.append(vals[3])
-            f.append(vals[4])
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise ArgumentError(f"{path}:{row_no}: {exc}") from None
+        times.append(vals[0])
+        g.append(vals[1])
+        c.append(vals[2])
+        m.append(vals[3])
+        f.append(vals[4])
     obs = ObservedSeries(times=times, g_obs=g, c_obs=c, m_obs=m, f_obs=f)
     _check_series(obs)
     return obs

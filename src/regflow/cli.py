@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .agents import ClientConfig, DEFAULT_PROFILES, ManufacturerProfile, _profile_from_dict
 from .analysis import (
@@ -39,20 +39,19 @@ from .calibration import (
     fit,
     read_series_csv,
 )
-from .corpus import build_default_corpus, corpus_to_json_list, load_corpus
+from .corpus import build_default_corpus, load_corpus
 from .dynamics import (
     DEFAULT_INITIAL_STATE,
     DEFAULT_PARAMETERS,
-    PARAM_FIELDS,
     ModelParameters,
     SystemState,
     _bounds_from_json,
-    _real,
 )
 from .errors import ArgumentError, NumericalError
+from .schema import from_json, json_default
+from .schema import read_json as _load_json  # bench/tracing.py wraps it by this module's name
 from .simulation import (
     SimulationConfig,
-    _config_from_dict,
     default_initial,
     result_columns,
     result_from_json_dict,  # unused here; bench/tracing.py wraps it by this module's name
@@ -66,56 +65,51 @@ from .simulation import (
 FORMATS = ("csv", "json")
 
 
-@dataclass
-class RunManifest:
-    """Everything one simulate invocation needs."""
+def _coefficients(data, where: str) -> ModelParameters:
+    """DEFAULT_PARAMETERS overlaid with a JSON object {name: number}."""
+    return from_json(ModelParameters, data, where, vars(DEFAULT_PARAMETERS))
 
-    config: SimulationConfig
-    profile_file: str | None = None
-    corpus_file: str | None = None
-    script_file: str | None = None
-    output_dir: str = "."
-    formats: set[str] = field(default_factory=lambda: {"csv", "json"})
-    initial_params: ModelParameters | None = None
-    initial_state: SystemState | None = None
+
+@dataclass(frozen=True)
+class InitialState:
+    """`initial.state` of a config file: one start, at t = 0, for every agent."""
+
+    g: float = DEFAULT_INITIAL_STATE.g
+    c: float = DEFAULT_INITIAL_STATE.c
+    m: float = DEFAULT_INITIAL_STATE.m
+
+
+@dataclass(frozen=True)
+class Initial:
+    """`initial` of a config file. Without a state each agent starts where
+    default_initial puts it."""
+
+    params: ModelParameters = field(default=DEFAULT_PARAMETERS, metadata={"load": _coefficients})
+    state: InitialState = None
+
+
+@dataclass
+class ConfigFile(SimulationConfig):
+    """A --config file: the keys of a SimulationConfig, the start, and input
+    paths that the matching command-line options override."""
+
+    initial: Initial | None = None
+    profiles_file: str = None
+    corpus_file: str = None
+    script_file: str = None
 
 
 # ---------------------------------------------------------------------------
 # file helpers
 # ---------------------------------------------------------------------------
 
-def _load_json(path: str) -> dict | list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ArgumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ArgumentError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _write_json(obj, path: str) -> None:
     """fit.json and metrics.json: sorted keys, indent 2, a final newline. The
     text is built before the file is opened, so a value JSON cannot hold
     raises TypeError and leaves an earlier file whole."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, default=json_default, sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _params_from_dict(data, where: str) -> ModelParameters:
-    """DEFAULT_PARAMETERS overlaid with a JSON object {name: number};
-    `where` names the source in errors."""
-    if not isinstance(data, dict):
-        raise ArgumentError(f"{where} must hold a JSON object")
-    unknown = set(data) - set(PARAM_FIELDS)
-    if unknown:
-        raise ArgumentError(f"{where}: unknown parameter fields: {sorted(unknown)}")
-    values = {
-        name: _real(data.get(name, getattr(DEFAULT_PARAMETERS, name)), f"{where}: {name}")
-        for name in PARAM_FIELDS
-    }
-    return ModelParameters(**values)
 
 
 def _load_profiles(path: str | None) -> list[ManufacturerProfile]:
@@ -138,7 +132,10 @@ def _parse_formats(spec: str) -> set[str]:
 
 
 def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ArgumentError(f"cannot create output directory {path}: {exc}") from None
     if not os.access(path, os.W_OK):
         raise ArgumentError(f"output directory {path} is not writable")
     return path
@@ -148,14 +145,9 @@ def _ensure_outdir(path: str) -> str:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _build_manifest(args: argparse.Namespace) -> RunManifest:
-    raw: dict = {}
-    if args.config is not None:
-        loaded = _load_json(args.config)
-        if not isinstance(loaded, dict):
-            raise ArgumentError(f"config file {args.config} must hold a JSON object")
-        raw = loaded
-    config = _config_from_dict(raw)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    manifest = from_json(ConfigFile, {} if args.config is None else _load_json(args.config), "config")
+    config = SimulationConfig(**{f.name: getattr(manifest, f.name) for f in fields(SimulationConfig)})
     if args.seed is not None:
         config.seed = args.seed
     if args.steps is not None:
@@ -163,77 +155,40 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
     if args.policy is not None:
         config.policy_kind = args.policy
     if args.llm_endpoint is not None:
-        base = config.llm or ClientConfig(endpoint=args.llm_endpoint)
-        config.llm = ClientConfig(
-            endpoint=args.llm_endpoint,
-            model=base.model,
-            timeout=base.timeout,
-            retries=base.retries,
-            api_key_env=base.api_key_env,
+        config.llm = (
+            ClientConfig(endpoint=args.llm_endpoint)
+            if config.llm is None
+            else replace(config.llm, endpoint=args.llm_endpoint)
         )
+    formats = _parse_formats(args.format)
 
-    initial_params = None
-    initial_state = None
-    init_raw = raw.get("initial")
-    if init_raw is not None:
-        if not isinstance(init_raw, dict):
-            raise ArgumentError("config key 'initial' must be an object")
-        if "params" in init_raw:
-            initial_params = _params_from_dict(init_raw["params"], "initial.params")
-        if "state" in init_raw:
-            st = init_raw["state"]
-            if not isinstance(st, dict):
-                raise ArgumentError("config key 'initial.state' must be an object")
-            initial_state = SystemState(
-                t=0.0,
-                g=_real(st.get("g", DEFAULT_INITIAL_STATE.g), "initial.state.g"),
-                c=_real(st.get("c", DEFAULT_INITIAL_STATE.c), "initial.state.c"),
-                m=_real(st.get("m", DEFAULT_INITIAL_STATE.m), "initial.state.m"),
-            )
+    profiles = _load_profiles(args.profiles or manifest.profiles_file)
+    corpus_file = args.corpus or manifest.corpus_file
+    corpus = load_corpus(corpus_file) if corpus_file else build_default_corpus()
 
-    for key in ("profiles_file", "corpus_file", "script_file"):
-        if not isinstance(raw.get(key, ""), str):
-            raise ArgumentError(f"config {key} must be a string path, got {raw[key]!r}")
-
-    return RunManifest(
-        config=config,
-        profile_file=args.profiles or raw.get("profiles_file"),
-        corpus_file=args.corpus or raw.get("corpus_file"),
-        script_file=args.script or raw.get("script_file"),
-        output_dir=args.out,
-        formats=_parse_formats(args.format),
-        initial_params=initial_params,
-        initial_state=initial_state,
-    )
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    manifest = _build_manifest(args)
-    profiles = _load_profiles(manifest.profile_file)
-    corpus = load_corpus(manifest.corpus_file) if manifest.corpus_file else build_default_corpus()
-
-    params = manifest.initial_params or DEFAULT_PARAMETERS
-    if manifest.initial_state is not None:
-        initial = {p.id: (params, manifest.initial_state) for p in profiles}
+    start = manifest.initial or Initial()
+    if start.state is None:
+        initial = default_initial(profiles, start.params)
     else:
-        initial = default_initial(profiles, params)
+        state = SystemState(t=0.0, **vars(start.state))
+        initial = {p.id: (start.params, state) for p in profiles}
 
-    config = manifest.config
     if config.policy_kind == "scripted":
-        if manifest.script_file is None:
+        script_file = args.script or manifest.script_file
+        if script_file is None:
             raise ArgumentError("policy 'scripted' requires --script or config script_file")
-        script_data = _load_json(manifest.script_file)
+        script_data = _load_json(script_file)
         if not isinstance(script_data, list):
-            raise ArgumentError(f"script file {manifest.script_file} must hold a JSON array")
+            raise ArgumentError(f"script file {script_file} must hold a JSON array")
         script = script_from_json_list(script_data)
         result = run_scripted(config, profiles, initial, corpus, script)
     else:
         result = run(config, profiles, initial, corpus)
 
-    outdir = _ensure_outdir(manifest.output_dir)
-    if "json" in manifest.formats:
+    outdir = _ensure_outdir(args.out)
+    if "json" in formats:
         write_result_json(result, os.path.join(outdir, "result.json"))
-    if "csv" in manifest.formats:
+    if "csv" in formats:
         write_result_csv(result, os.path.join(outdir, "trajectories.csv"))
 
     approvals = sum(
@@ -255,7 +210,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     obs = read_series_csv(args.obs)
     guess = DEFAULT_PARAMETERS
     if args.guess is not None:
-        guess = _params_from_dict(_load_json(args.guess), f"guess file {args.guess}")
+        guess = _coefficients(_load_json(args.guess), f"guess file {args.guess}")
     bounds = None
     if args.bounds is not None:
         bounds = _bounds_from_json(_load_json(args.bounds), f"bounds file {args.bounds}")
@@ -300,7 +255,7 @@ def _parse_state(spec: str) -> SystemState:
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = DEFAULT_PARAMETERS
     if args.params is not None:
-        params = _params_from_dict(_load_json(args.params), f"params file {args.params}")
+        params = _coefficients(_load_json(args.params), f"params file {args.params}")
     initial = _parse_state(args.initial) if args.initial else DEFAULT_INITIAL_STATE
     values = _parse_values(args.values)
     result = sweep(params, initial, args.horizon, args.dt, args.parameter, values)
@@ -363,7 +318,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report: dict = {"epsilon": args.epsilon, "per_agent": {}}
     for aid in agent_ids:
         rep = metrics_report(columns.c[aid], columns.g[aid], args.epsilon)
-        report["per_agent"][aid] = rep.to_json_dict()
+        report["per_agent"][aid] = rep
         print(
             f"{aid}: adherence={rep.adherence_accuracy:.4f} "
             f"stability={rep.compliance_stability:.6g} "
@@ -381,8 +336,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         pairwise = bonferroni_pairwise(samples, labels=labels)
         report["groups"] = {
             "members": groups,
-            "welch_anova": anova.to_json_dict(),
-            "pairwise": [p.to_json_dict() for p in pairwise],
+            "welch_anova": anova,
+            "pairwise": pairwise,
         }
         print(
             f"welch: F({anova.df1}, {anova.df2:.2f})={anova.f_stat:.4g} "
@@ -402,7 +357,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_corpus_print(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus) if args.corpus else build_default_corpus()
-    print(json.dumps(corpus_to_json_list(corpus), indent=2))
+    print(json.dumps(corpus, default=json_default, indent=2))
     return 0
 
 

@@ -10,10 +10,10 @@ default so arbitrarily long runs are well-defined.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import ArgumentError
+from .schema import from_json, read_json
 
 __all__ = [
     "Regulation",
@@ -24,7 +24,6 @@ __all__ = [
     "active_phase",
     "regulations_for",
     "load_corpus",
-    "corpus_to_json_list",
 ]
 
 STRICT = "strict"
@@ -231,34 +230,12 @@ def regulations_for(t: int, corpus: list[Regulation], s: Schedule) -> list[Regul
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-_REG_KEYS = ("id", "strictness", "title", "body", "topic")
-
-
-def corpus_to_json_list(corpus: list[Regulation]) -> list[dict]:
-    return [
-        {"id": r.id, "strictness": r.strictness, "title": r.title, "body": r.body, "topic": r.topic}
-        for r in corpus
-    ]
-
-
 def load_corpus(path) -> list[Regulation]:
-    """Load a corpus from a JSON array of {id, strictness, title, body, topic}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArgumentError(f"cannot read corpus file {path}: {exc}") from None
+    """Load a corpus from a JSON array of {id, strictness, title, body, topic},
+    each a string; another key or type raises ArgumentError."""
+    data = read_json(path)
     if not isinstance(data, list):
         raise ArgumentError(f"corpus file {path} must hold a JSON array")
-    corpus = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ArgumentError(f"corpus entry {i} is not an object")
-        missing = [k for k in _REG_KEYS if k not in entry]
-        if missing:
-            raise ArgumentError(f"corpus entry {i} is missing keys: {missing}")
-        if not all(isinstance(entry[k], str) for k in _REG_KEYS):
-            raise ArgumentError(f"corpus entry {i} has non-string fields")
-        corpus.append(Regulation(**{k: entry[k] for k in _REG_KEYS}))
+    corpus = [from_json(Regulation, entry, f"corpus entry {i}") for i, entry in enumerate(data)]
     _check_corpus(corpus)
     return corpus

@@ -223,12 +223,17 @@ def _exp(x: float) -> float:
 # pointwise evaluation
 # ---------------------------------------------------------------------------
 
+def _feedback(p: ModelParameters, c: float, m: float) -> float:
+    """f at compliance c and adaptation m, unchecked. _rk4_run inlines the
+    same expression in the same operation order."""
+    return p.alpha4 * (m * (1.0 - _exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
+
+
 def eval_feedback(state: SystemState, p: ModelParameters) -> float:
     """Feedback level f at a state; bounded by alpha4 * m."""
     _check_state(state)
     _check_parameters(p)
-    c, m = state.c, state.m
-    return p.alpha4 * (m * (1.0 - _exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
+    return _feedback(p, state.c, state.m)
 
 
 def eval_derivatives(state: SystemState, p: ModelParameters) -> tuple[float, float, float]:
@@ -236,7 +241,7 @@ def eval_derivatives(state: SystemState, p: ModelParameters) -> tuple[float, flo
     _check_state(state)
     _check_parameters(p)
     t, g, c, m = state.t, state.g, state.c, state.m
-    f = p.alpha4 * (m * (1.0 - _exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
+    f = _feedback(p, c, m)
     return (
         p.alpha1 * (1.0 - _exp(-p.phi1 * t)) - p.beta1 * f,
         p.alpha2 * g * (1.0 - _exp(-p.phi2 * c)) - p.beta2 * (c / (1.0 + p.gamma1 * m)),
@@ -405,12 +410,10 @@ def integrate(
         raise ArgumentError(f"horizon/dt requires {steps} steps; limit is {MAX_STEPS}")
 
     raw, clamps = _integrate_raw(initial.t, initial.g, initial.c, initial.m, p, steps, dt)
-    a4, f4, g2 = p.alpha4, p.phi4, p.gamma2
-    samples: list[tuple[SystemState, float]] = []
-    for k, (g, c, m) in enumerate(raw):
-        state = SystemState(t=initial.t + k * dt, g=g, c=c, m=m)
-        f = a4 * (m * (1.0 - _exp(-f4 * c)) / (1.0 + g2 * c))
-        samples.append((state, f))
+    samples = [
+        (SystemState(t=initial.t + k * dt, g=g, c=c, m=m), _feedback(p, c, m))
+        for k, (g, c, m) in enumerate(raw)
+    ]
     return Trajectory(samples=samples, dt=dt, clamp_events=clamps)
 
 
@@ -432,9 +435,7 @@ def advance(
     _check_state(state)
     _check_parameters(p)
     g, c, m, cost, clamps = _rk4_run(p, state.t, state.g, state.c, state.m, dt / substeps, substeps)
-    new_state = SystemState(t=state.t + dt, g=g, c=c, m=m)
-    f = p.alpha4 * (m * (1.0 - _exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
-    return new_state, f, cost, clamps
+    return SystemState(t=state.t + dt, g=g, c=c, m=m), _feedback(p, c, m), cost, clamps
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .agents import (
@@ -27,29 +27,27 @@ from .agents import (
     AgentDecision,
     ClientConfig,
     ManufacturerProfile,
-    ParameterAdjustment,
     PolicyEnv,
     _profile_from_dict,
     apply_adjustments,
     llm_policy_decide,
     rule_policy_decide,
 )
-from .brr import Submission, ThresholdConfig, compute_brr, decide, update_threshold
+from .brr import ThresholdConfig, compute_brr, decide, update_threshold
 from .corpus import Regulation, Schedule, active_phase, regulations_for
 from .dynamics import (
     DEFAULT_PARAM_BOUNDS,
     DEFAULT_PARAMETERS,
-    PARAM_FIELDS,
     ModelParameters,
     SystemState,
     _bounds_from_json,
     _fmt,
-    _integer,
     _real,
     advance,
     eval_feedback,
 )
 from .errors import ArgumentError, NumericalError
+from .schema import from_json, json_default
 
 __all__ = [
     "SimulationConfig",
@@ -76,9 +74,9 @@ class SimulationConfig:
     dt_per_step: float = 0.05
     inner_substeps: int = 20
     schedule: Schedule = field(default_factory=Schedule)
-    threshold_cfg: ThresholdConfig = field(default_factory=ThresholdConfig)
+    threshold_cfg: ThresholdConfig = field(default_factory=ThresholdConfig, metadata={"json": "threshold"})
     param_bounds: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_PARAM_BOUNDS)
+        default_factory=lambda: dict(DEFAULT_PARAM_BOUNDS), metadata={"load": _bounds_from_json}
     )
     max_step: float = DEFAULT_MAX_STEP
     seed: int = 0
@@ -371,32 +369,35 @@ def extract_script(result: SimulationResult) -> dict[tuple[int, str], AgentDecis
     }
 
 
-def script_to_json_list(script: Mapping[tuple[int, str], AgentDecision]) -> list[dict]:
-    return [
-        {"step": step, "agent": aid, "decision": _decision_to_dict(decision)}
-        for (step, aid), decision in sorted(script.items())
-    ]
+@dataclass(frozen=True)
+class ScriptEntry:
+    """One entry of a script file: the decision of an agent at a step."""
+
+    step: int
+    agent: str
+    decision: AgentDecision
 
 
-def script_from_json_list(data: list[dict]) -> dict[tuple[int, str], AgentDecision]:
+def script_entries(script: Mapping[tuple[int, str], AgentDecision]) -> list[ScriptEntry]:
+    """A script as the entries of a script file, in (step, agent) order; dump
+    them with json.dumps(..., default=json_default)."""
+    return [ScriptEntry(step, aid, decision) for (step, aid), decision in sorted(script.items())]
+
+
+def script_from_json_list(data: list) -> dict[tuple[int, str], AgentDecision]:
     """A script from its JSON entries; ArgumentError for a malformed entry or
     a second entry for the same (step, agent)."""
     script: dict[tuple[int, str], AgentDecision] = {}
     first: dict[tuple[int, str], int] = {}
-    for i, entry in enumerate(data):
-        try:
-            agent = entry["agent"]
-            if not isinstance(agent, str):
-                raise ArgumentError(f"agent must be a string, got {agent!r}")
-            key = (_integer(entry["step"], "step"), agent)
-            script[key] = _decision_from_dict(entry["decision"])
-        except (ArgumentError, KeyError, TypeError, ValueError) as exc:
-            raise ArgumentError(f"script entry {i} is invalid: {exc}") from None
+    for i, raw in enumerate(data):
+        entry = from_json(ScriptEntry, raw, f"script entry {i}")
+        key = (entry.step, entry.agent)
         if key in first:
             raise ArgumentError(
-                f"script entries {first[key]} and {i} both give step {key[0]}, agent {agent!r}"
+                f"script entries {first[key]} and {i} both give step {key[0]}, agent {entry.agent!r}"
             )
         first[key] = i
+        script[key] = entry.decision
     return script
 
 
@@ -404,192 +405,13 @@ def script_from_json_list(data: list[dict]) -> dict[tuple[int, str], AgentDecisi
 # serialization
 # ---------------------------------------------------------------------------
 
-def _params_to_dict(p: ModelParameters) -> dict:
-    return {name: getattr(p, name) for name in PARAM_FIELDS}
-
-
-def _state_to_dict(s: SystemState) -> dict:
-    return {"t": s.t, "g": s.g, "c": s.c, "m": s.m}
-
-
-def _submission_to_dict(s: Submission | None) -> dict | None:
-    if s is None:
-        return None
-    return {
-        "agent_id": s.agent_id,
-        "safety": s.safety,
-        "effectiveness": s.effectiveness,
-        "compliance": s.compliance,
-        "adverse": s.adverse,
-        "regulation_ids": list(s.regulation_ids),
-        "narrative": s.narrative,
-    }
-
-
-def _decision_to_dict(d: AgentDecision) -> dict:
-    return {
-        "comply": d.comply,
-        "adjustments": dict(d.adjustments.deltas),
-        "submission": _submission_to_dict(d.submission),
-        "rationale": d.rationale,
-        "warnings": list(d.warnings),
-        "fallback": d.fallback,
-    }
-
-
-def _decision_from_dict(data: dict) -> AgentDecision:
-    if not isinstance(data, dict):
-        raise ArgumentError(f"decision must be a JSON object, got {data!r}")
-    sub = data.get("submission")
-    if not (sub is None or isinstance(sub, dict)):
-        raise ArgumentError(f"decision.submission must be a JSON object or null, got {sub!r}")
-    submission = None
-    if sub is not None:
-        submission = Submission(
-            agent_id=sub["agent_id"],
-            safety=sub["safety"],
-            effectiveness=sub["effectiveness"],
-            compliance=sub["compliance"],
-            adverse=sub["adverse"],
-            regulation_ids=tuple(sub.get("regulation_ids", ())),
-            narrative=sub.get("narrative", ""),
-        )
-    return AgentDecision(
-        comply=data["comply"],
-        adjustments=ParameterAdjustment(deltas=dict(data.get("adjustments", {}))),
-        submission=submission,
-        rationale=data.get("rationale", ""),
-        warnings=tuple(data.get("warnings", ())),
-        fallback=data.get("fallback"),
-    )
-
-
-def _config_to_dict(config: SimulationConfig) -> dict:
-    return {
-        "total_steps": config.total_steps,
-        "dt_per_step": config.dt_per_step,
-        "inner_substeps": config.inner_substeps,
-        "schedule": {
-            "strict_steps": config.schedule.strict_steps,
-            "lenient_steps": config.schedule.lenient_steps,
-            "cycle": config.schedule.cycle,
-        },
-        "threshold": {
-            "base": config.threshold_cfg.base,
-            "kappa": config.threshold_cfg.kappa,
-            "window": config.threshold_cfg.window,
-            "floor": config.threshold_cfg.floor,
-            "ceiling": config.threshold_cfg.ceiling,
-        },
-        "param_bounds": {k: list(v) for k, v in config.param_bounds.items()},
-        "max_step": config.max_step,
-        "seed": config.seed,
-        "policy_kind": config.policy_kind,
-        "llm": None if config.llm is None else asdict(config.llm),
-        "llm_concurrency": config.llm_concurrency,
-    }
-
-
-def _object(data: dict, key: str) -> dict:
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ArgumentError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
-#: The keys a config object may hold, by the path of the object that holds
-#: them: a `--config` file and the `config` of a result.json. The llm block,
-#: param_bounds and initial.params check their own keys.
-CONFIG_KEYS = {
-    (): (
-        "total_steps", "dt_per_step", "inner_substeps", "schedule", "threshold",
-        "param_bounds", "max_step", "seed", "policy_kind", "llm", "llm_concurrency",
-        "initial", "profiles_file", "corpus_file", "script_file",
-    ),
-    ("schedule",): ("strict_steps", "lenient_steps", "cycle"),
-    ("threshold",): ("base", "kappa", "window", "floor", "ceiling"),
-    ("initial",): ("params", "state"),
-    ("initial", "state"): ("g", "c", "m"),
-}
-
-
-def _check_config_keys(raw: dict) -> None:
-    """ArgumentError for a key CONFIG_KEYS does not list. An object of the
-    wrong type is left to the code that reads it."""
-    for path, allowed in CONFIG_KEYS.items():
-        obj = raw
-        for part in path:
-            obj = obj.get(part) if isinstance(obj, dict) else None
-        if isinstance(obj, dict):
-            unknown = sorted(set(obj) - set(allowed))
-            if unknown:
-                raise ArgumentError(f"{'.'.join(('config',) + path)} has unknown keys: {unknown}")
-
-
-def _config_from_dict(data: dict) -> SimulationConfig:
-    _check_config_keys(data)
-    sched = _object(data, "schedule")
-    thr = _object(data, "threshold")
-    cycle = sched.get("cycle", True)
-    if not isinstance(cycle, bool):
-        raise ArgumentError(f"schedule.cycle must be true or false, got {cycle!r}")
-    bounds_raw = data.get("param_bounds")
-    bounds = _bounds_from_json({} if bounds_raw is None else bounds_raw, "param_bounds")
-    llm_raw = data.get("llm")
-    return SimulationConfig(
-        total_steps=_integer(data.get("total_steps", 73), "total_steps"),
-        dt_per_step=_real(data.get("dt_per_step", 0.05), "dt_per_step"),
-        inner_substeps=_integer(data.get("inner_substeps", 20), "inner_substeps"),
-        schedule=Schedule(
-            strict_steps=_integer(sched.get("strict_steps", 10), "schedule.strict_steps"),
-            lenient_steps=_integer(sched.get("lenient_steps", 5), "schedule.lenient_steps"),
-            cycle=cycle,
-        ),
-        threshold_cfg=ThresholdConfig(
-            base=_real(thr.get("base", 4.0), "threshold.base"),
-            kappa=_real(thr.get("kappa", 0.3), "threshold.kappa"),
-            window=_integer(thr.get("window", 10), "threshold.window"),
-            floor=_real(thr.get("floor", 2.0), "threshold.floor"),
-            ceiling=_real(thr.get("ceiling", 8.0), "threshold.ceiling"),
-        ),
-        param_bounds=bounds,
-        max_step=_real(data.get("max_step", DEFAULT_MAX_STEP), "max_step"),
-        seed=_integer(data.get("seed", 0), "seed"),
-        policy_kind=str(data.get("policy_kind", "rule")),
-        llm=None if llm_raw is None else ClientConfig.from_dict(llm_raw),
-        llm_concurrency=_integer(data.get("llm_concurrency", 4), "llm_concurrency"),
-    )
+def _config_from_dict(data) -> SimulationConfig:
+    return from_json(SimulationConfig, data, "config")
 
 
 def result_to_json_dict(result: SimulationResult) -> dict:
-    return {
-        "config": _config_to_dict(result.config),
-        "profiles": [asdict(p) for p in result.profiles],
-        "clamp_events": result.clamp_events,
-        "llm_fallbacks": result.llm_fallbacks,
-        "records": [
-            {
-                "step": rec.step,
-                "phase": rec.phase,
-                "threshold": rec.threshold,
-                "mean_feedback": rec.mean_feedback,
-                "agents": {
-                    aid: {
-                        "params": _params_to_dict(ar.params),
-                        "state": _state_to_dict(ar.state),
-                        "f": ar.f,
-                        "decision": _decision_to_dict(ar.decision),
-                        "brr": ar.brr,
-                        "approved": ar.approved,
-                        "compliance_cost": ar.compliance_cost,
-                        "market_adaptation": ar.market_adaptation,
-                    }
-                    for aid, ar in sorted(rec.agents.items())
-                },
-            }
-            for rec in result.records
-        ],
-    }
+    """The content of result.json as plain dicts and lists."""
+    return json.loads(json.dumps(result, default=json_default))
 
 
 _CHECKED_NUMBERS = ("state.g", "state.c", "state.m", "market_adaptation")
@@ -634,7 +456,7 @@ def _result_header(data: dict) -> tuple[SimulationConfig, list[ManufacturerProfi
     profiles = [
         _profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))
     ]
-    return _config_from_dict(_object(data, "config")), profiles
+    return _config_from_dict(data.get("config", {})), profiles
 
 
 @dataclass
@@ -662,46 +484,17 @@ def result_columns(data: dict) -> ResultColumns:
 
 
 def result_from_json_dict(data: dict) -> SimulationResult:
-    """The inverse of result_to_json_dict, with the checks of _record_columns
-    and _result_header; other malformed input raises KeyError, TypeError or
-    ValueError."""
+    """The inverse of result_to_json_dict. ArgumentError for a value that
+    from_json rejects or a record that _record_columns rejects."""
+    result = from_json(SimulationResult, data, "result")
     _record_columns(data["records"])
-    records = [
-        StepRecord(
-            step=rec["step"],
-            phase=rec["phase"],
-            agents={
-                aid: AgentStepRecord(
-                    params=ModelParameters(**ar["params"]),
-                    state=SystemState(**ar["state"]),
-                    f=ar["f"],
-                    decision=_decision_from_dict(ar["decision"]),
-                    brr=ar["brr"],
-                    approved=ar["approved"],
-                    compliance_cost=ar["compliance_cost"],
-                    market_adaptation=ar["market_adaptation"],
-                )
-                for aid, ar in rec["agents"].items()
-            },
-            threshold=rec["threshold"],
-            mean_feedback=rec["mean_feedback"],
-        )
-        for rec in data["records"]
-    ]
-    config, profiles = _result_header(data)
-    return SimulationResult(
-        records=records,
-        config=config,
-        profiles=profiles,
-        clamp_events=int(data.get("clamp_events", 0)),
-        llm_fallbacks=int(data.get("llm_fallbacks", 0)),
-    )
+    return result
 
 
 def write_result_json(result: SimulationResult, path) -> None:
     """Compact sorted JSON plus a newline. The newline is a second write:
     appending it to the text would copy the whole document once more."""
-    text = json.dumps(result_to_json_dict(result), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(result, default=json_default, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
         fh.write("\n")

@@ -7,8 +7,9 @@ import pytest
 
 from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.cli import main
-from regflow.corpus import build_default_corpus, corpus_to_json_list
+from regflow.corpus import build_default_corpus
 from regflow.dynamics import DEFAULT_PARAMETERS, ModelParameters, PARAM_FIELDS, SystemState
+from regflow.schema import json_default
 
 
 def params_json(p: ModelParameters) -> str:
@@ -173,7 +174,7 @@ class TestCoefficientInput:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"total_steps": 2, "initial": {"params": {"alpha1": value}}}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "initial.params: alpha1 must be a number" in capsys.readouterr().err
+        assert "initial.params.alpha1 must be a number" in capsys.readouterr().err
 
     def test_simulate_initial_state_exit_2(self, tmp_path, capsys, value):
         cfg = tmp_path / "cfg.json"
@@ -255,7 +256,7 @@ def test_simulate_accepts_every_result_config_key_and_manifest_key(tmp_path):
     profiles = tmp_path / "profiles.json"
     profiles.write_text(json.dumps([{"id": "A", "resource_tier": "rich"}]))
     corpus = tmp_path / "corpus.json"
-    corpus.write_text(json.dumps(corpus_to_json_list(build_default_corpus())))
+    corpus.write_text(json.dumps(build_default_corpus(), default=json_default))
     config.update(
         initial={"params": {"alpha1": 0.5}, "state": {"g": 0.5, "c": 0.5, "m": 0.5}},
         profiles_file=str(profiles),
@@ -347,7 +348,7 @@ def test_simulate_scripted_from_file(tmp_path):
 def test_simulate_malformed_script_exits_2(tmp_path, capsys, entry, message):
     assert run_script(tmp_path, [entry]) == 2
     err = capsys.readouterr().err
-    assert "script entry 0 is invalid" in err and message in err
+    assert "script entry 0." in err and message in err
 
 
 @pytest.mark.parametrize(
@@ -467,8 +468,8 @@ class TestMetricsCommand:
             (lambda d: d["records"][1]["agents"]["A"]["state"].update(c="x"), "record 1, agent A: state.c"),
             (lambda d: d["records"][4]["agents"]["J"]["state"].update(g=None), "record 4, agent J: state.g"),
             (lambda d: d["records"][-1]["agents"]["C"].update(market_adaptation="0.4"), "market_adaptation"),
-            (lambda d: d["profiles"][0].update(resource_tier=5), "profile 0: resource_tier"),
-            (lambda d: d["profiles"][3].update(id=["D"]), "profile 3: id"),
+            (lambda d: d["profiles"][0].update(resource_tier=5), "profile 0.resource_tier"),
+            (lambda d: d["profiles"][3].update(id=["D"]), "profile 3.id"),
             (lambda d: d["config"].update(total_step=5), "config has unknown keys: ['total_step']"),
             (
                 lambda d: d["config"]["schedule"].update(strict=2),
@@ -612,3 +613,121 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical error" in err and "step" in err
+
+
+def series_file(tmp_path) -> str:
+    obs = generate_synthetic(DEFAULT_PARAMETERS, SystemState(0.0, 0.4, 0.3, 0.2), 1.0, 0.05, 2, 0.0, 0)
+    path = tmp_path / "obs.csv"
+    write_series_csv(obs, path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{bad}"],
+        ["simulate", "--profiles", "{bad}"],
+        ["simulate", "--corpus", "{bad}"],
+        ["simulate", "--policy", "scripted", "--script", "{bad}"],
+        ["metrics", "--result", "{bad}"],
+        ["calibrate", "--obs", "{obs}", "--guess", "{bad}"],
+        ["calibrate", "--obs", "{obs}", "--bounds", "{bad}"],
+        ["sweep", "--parameter", "alpha1", "--values", "0.1", "--params", "{bad}"],
+        ["calibrate", "--obs", "{bad}"],
+    ],
+    ids=["config", "profiles", "corpus", "script", "result", "guess", "bounds", "params", "obs"],
+)
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "Café"}'.encode("latin-1"))
+    values = {"{bad}": str(bad), "{obs}": series_file(tmp_path)}
+    assert main([values.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_missing_obs_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "none.csv"
+    assert main(["calibrate", "--obs", str(missing), "--out", str(tmp_path)]) == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
+def test_out_under_a_regular_file_exits_2(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert main(["simulate", "--steps", "1", "--out", str(plain / "sub")]) == 2
+    assert f"cannot create output directory {plain / 'sub'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "decision, message",
+    [
+        ({**HOLD, "adjustments": {"alpha1": "x"}}, "decision.adjustments.alpha1 must be a number, got 'x'"),
+        ({**HOLD, "adjustments": "x"}, "decision.adjustments must be a JSON object, got 'x'"),
+        ({**HOLD, "comply": 1}, "decision.comply must be true or false, got 1"),
+        ({**HOLD, "reason": "r"}, "decision has unknown keys: ['reason']"),
+        (
+            {**HOLD, "submission": {"agent_id": "A", "safety": 7, "effectiveness": 7, "compliance": 7,
+                                    "adverse": 2, "score": 1}},
+            "decision.submission has unknown keys: ['score']",
+        ),
+    ],
+    ids=["string-adjustment", "string-adjustments", "non-bool-comply", "decision-key", "submission-key"],
+)
+def test_mistyped_or_unknown_script_decision_exits_2(tmp_path, capsys, decision, message):
+    assert run_script(tmp_path, [{"step": 0, "agent": "A", "decision": decision}]) == 2
+    assert f"script entry 0.{message}" in capsys.readouterr().err
+
+
+def test_unknown_corpus_key_exits_2(tmp_path, capsys):
+    entry = {"id": "s", "strictness": "strict", "title": "T", "body": "B", "topic": "x", "year": 2024}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["corpus", "print", "--corpus", str(path)]) == 2
+    assert "corpus entry 0 has unknown keys: ['year']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("initial", {"params": {"alpha1": 9.0}}),
+        ("profiles_file", "p.json"),
+        ("corpus_file", "c.json"),
+        ("script_file", "nowhere.json"),
+    ],
+)
+def test_result_config_rejects_manifest_keys(tmp_path, capsys, key, value):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--out", str(run_dir), "--steps", "3"]) == 0
+    data = json.loads((run_dir / "result.json").read_text())
+    data["config"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["metrics", "--result", str(bad), "--out", str(tmp_path)]) == 2
+    assert f"config has unknown keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("clamp_events", 3.7), ("clamp_events", "3"), ("llm_fallbacks", "5")])
+def test_result_counters_are_not_truncated(tmp_path, key, value):
+    from regflow.errors import ArgumentError
+    from regflow.simulation import result_from_json_dict
+
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--out", str(run_dir), "--steps", "2"]) == 0
+    data = json.loads((run_dir / "result.json").read_text())
+    data[key] = value
+    with pytest.raises(ArgumentError, match=f"result.{key} must be an integer"):
+        result_from_json_dict(data)
+    data[key] = 3.0
+    assert getattr(result_from_json_dict(data), key) == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100_000 + "]" * 100_000, "is not valid JSON"), ("1" * 5000, "is not valid JSON")],
+    ids=["nested-too-deep", "integer-too-long"],
+)
+def test_json_the_parser_refuses_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"{path} {message}" in capsys.readouterr().err

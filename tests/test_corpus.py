@@ -11,11 +11,11 @@ from regflow.corpus import (
     Schedule,
     active_phase,
     build_default_corpus,
-    corpus_to_json_list,
     load_corpus,
     regulations_for,
 )
 from regflow.errors import ArgumentError
+from regflow.schema import json_default
 
 
 class TestDefaultCorpus:
@@ -127,7 +127,7 @@ class TestCorpusJson:
     def test_round_trip(self, tmp_path):
         corpus = build_default_corpus()
         path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(corpus_to_json_list(corpus)))
+        path.write_text(json.dumps(corpus, default=json_default))
         loaded = load_corpus(path)
         assert loaded == corpus
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from regflow.analysis import bonferroni_pairwise, metrics_report, welch_anova
 from regflow.cli import main
 from regflow.errors import ArgumentError
+from regflow.schema import json_default
 from regflow.simulation import result_from_json_dict
 
 TIERS = ("limited", "medium", "rich")
@@ -27,7 +28,7 @@ def reference_metrics_json(data: dict, epsilon: float) -> str:
     for aid in ids:
         c = [rec.agents[aid].state.c for rec in result.records]
         g = [rec.agents[aid].state.g for rec in result.records]
-        report["per_agent"][aid] = metrics_report(c, g, epsilon).to_json_dict()
+        report["per_agent"][aid] = metrics_report(c, g, epsilon)
     groups: dict[str, list[str]] = {}
     for profile in result.profiles:
         groups.setdefault(profile.resource_tier, []).append(profile.id)
@@ -36,10 +37,10 @@ def reference_metrics_json(data: dict, epsilon: float) -> str:
     pairwise = bonferroni_pairwise(samples, labels=list(groups))
     report["groups"] = {
         "members": groups,
-        "welch_anova": welch_anova(samples).to_json_dict(),
-        "pairwise": [p.to_json_dict() for p in pairwise],
+        "welch_anova": welch_anova(samples),
+        "pairwise": pairwise,
     }
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, default=json_default, sort_keys=True, indent=2) + "\n"
 
 
 def simulate(workdir: Path, tiers, steps: int) -> Path:

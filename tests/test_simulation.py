@@ -15,6 +15,7 @@ from regflow.brr import Submission, ThresholdConfig
 from regflow.corpus import Schedule, build_default_corpus
 from regflow.dynamics import ModelParameters, SystemState, advance
 from regflow.errors import ArgumentError
+from regflow.schema import json_default
 from regflow.simulation import (
     SimulationConfig,
     default_initial,
@@ -23,8 +24,8 @@ from regflow.simulation import (
     result_to_json_dict,
     run,
     run_scripted,
+    script_entries,
     script_from_json_list,
-    script_to_json_list,
     write_result_csv,
     write_result_json,
 )
@@ -232,18 +233,20 @@ class TestConfigParsing:
             _config_from_dict({"dt_per_step": "fast"})
 
     def test_stored_config_reads_back(self):
-        from regflow.simulation import _config_from_dict, _config_to_dict
+        from regflow.simulation import _config_from_dict
 
         config = small_config(total_steps=9, threshold_cfg=ThresholdConfig(window=3), llm_concurrency=2)
-        assert _config_to_dict(_config_from_dict(_config_to_dict(config))) == _config_to_dict(config)
+        text = json.dumps(config, default=json_default)
+        assert _config_from_dict(json.loads(text)) == config
+        assert json.dumps(_config_from_dict(json.loads(text)), default=json_default) == text
 
     def test_llm_block_reads_back(self):
-        from regflow.simulation import _config_from_dict, _config_to_dict
+        from regflow.simulation import _config_from_dict
 
         cfg = _config_from_dict({"llm": {"endpoint": "https://h/v1", "retries": 3.0, "timeout": 5}})
         assert cfg.llm == ClientConfig(endpoint="https://h/v1", timeout=5.0, retries=3)
         assert type(cfg.llm.retries) is int and type(cfg.llm.timeout) is float
-        assert _config_to_dict(_config_from_dict(_config_to_dict(cfg))) == _config_to_dict(cfg)
+        assert _config_from_dict(json.loads(json.dumps(cfg, default=json_default))) == cfg
 
     @pytest.mark.parametrize("cycle", [True, False])
     def test_cycle_takes_json_bools(self, cycle):
@@ -313,7 +316,7 @@ class TestRunScripted:
         initial = default_initial(profiles)
         original = run(config, profiles, initial, CORPUS)
         script = extract_script(original)
-        restored = script_from_json_list(script_to_json_list(script))
+        restored = script_from_json_list(json.loads(json.dumps(script_entries(script), default=json_default)))
         assert restored == script
 
 
