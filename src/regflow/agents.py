@@ -75,23 +75,22 @@ class ManufacturerProfile:
     ai_investment_fraction: float = 0.05
     focus: str = ""
 
+    def __post_init__(self) -> None:
+        if self.resource_tier not in RESOURCE_TIERS:
+            raise ArgumentError(f"unknown resource tier {self.resource_tier!r}")
+        if self.risk_preference not in RISK_PREFERENCES:
+            raise ArgumentError(f"unknown risk preference {self.risk_preference!r}")
+        if not 0.0 <= self.ai_investment_fraction <= 1.0:
+            raise ArgumentError(
+                f"ai_investment_fraction must be in [0, 1], got {self.ai_investment_fraction!r}"
+            )
+
 
 def _profile_from_dict(data, where: str) -> ManufacturerProfile:
     """One profile from a JSON object, whose `name` defaults to its id;
     `where` names the entry."""
     name = {"name": data["id"]} if isinstance(data, dict) and "id" in data else None
     return from_json(ManufacturerProfile, data, where, name)
-
-
-def _check_profile(profile: ManufacturerProfile) -> None:
-    if profile.resource_tier not in RESOURCE_TIERS:
-        raise ArgumentError(f"unknown resource tier {profile.resource_tier!r}")
-    if profile.risk_preference not in RISK_PREFERENCES:
-        raise ArgumentError(f"unknown risk preference {profile.risk_preference!r}")
-    if not 0.0 <= profile.ai_investment_fraction <= 1.0:
-        raise ArgumentError(
-            f"ai_investment_fraction must be in [0, 1], got {profile.ai_investment_fraction!r}"
-        )
 
 
 #: Ten stock manufacturers. A, B, J are resource-rich; E, F, G medium;
@@ -126,6 +125,13 @@ class ParameterAdjustment:
 
     deltas: dict[str, float] = field(metadata={"inline": True, "load": _deltas})
 
+    def __post_init__(self) -> None:
+        for name, delta in self.deltas.items():
+            if name not in PARAM_FIELDS:
+                raise ArgumentError(f"unknown parameter name {name!r}")
+            if not math.isfinite(delta):
+                raise ArgumentError(f"delta for {name} is not finite: {delta!r}")
+
 
 @dataclass(frozen=True)
 class AgentDecision:
@@ -135,6 +141,10 @@ class AgentDecision:
     rationale: str = ""
     warnings: tuple[str, ...] = ()
     fallback: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.comply and self.submission is None:
+            raise ArgumentError("comply decision without a submission")
 
 
 @dataclass(frozen=True)
@@ -181,7 +191,6 @@ def rule_policy_decide(
     submission adds extra compliance drive. Scores follow the tier, the
     phase, AI investment, and risk appetite.
     """
-    _check_profile(profile)
     strictness = _check_regulations(regulations)
     strict = strictness == "strict"
     r = TIER_FACTOR[profile.resource_tier]
@@ -235,10 +244,6 @@ def apply_adjustments(
     box = bounds if bounds is not None else DEFAULT_PARAM_BOUNDS
     changes: dict[str, float] = {}
     for name, delta in adj.deltas.items():
-        if name not in PARAM_FIELDS:
-            raise ArgumentError(f"unknown parameter name {name!r}")
-        if not math.isfinite(delta):
-            raise ArgumentError(f"delta for {name} is not finite: {delta!r}")
         lo, hi = box[name]
         changes[name] = min(max(getattr(p, name) + delta, lo), hi)
     return replace(p, **changes) if changes else p
@@ -269,7 +274,6 @@ def render_prompt(
 
     The prompt states max_step as the bound on each adjustment value.
     """
-    _check_profile(profile)
     strictness = _check_regulations(regulations)
     lines = [
         "You are the decision model of a medical device manufacturer facing "

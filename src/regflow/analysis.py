@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ModelParameters, PARAM_FIELDS, SystemState, _fmt, integrate
+from .dynamics import ModelParameters, PARAM_FIELDS, SystemState, _fmt, _write_text, integrate
 from .errors import ArgumentError, NumericalError
 
 __all__ = [
@@ -365,9 +365,12 @@ def sweep(
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Rows: parameter,value,G,C,M,F,rate_G,rate_C,rate_M,rate_F."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("parameter,value,G,C,M,F,rate_G,rate_C,rate_M,rate_F\n")
+
+    def rows():
+        yield "parameter,value,G,C,M,F,rate_G,rate_C,rate_M,rate_F\n"
         for i, v in enumerate(result.values):
             outs = ",".join(_fmt(result.outputs[name][i]) for name in OUTPUT_NAMES)
             rates = ",".join(_fmt(result.change_rates[name][i]) for name in OUTPUT_NAMES)
-            fh.write(f"{result.parameter},{_fmt(v)},{outs},{rates}\n")
+            yield f"{result.parameter},{_fmt(v)},{outs},{rates}\n"
+
+    _write_text(path, rows())

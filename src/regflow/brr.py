@@ -34,7 +34,7 @@ SCORE_FIELDS = ("safety", "effectiveness", "compliance", "adverse")
 
 def _score(value, where: str) -> int:
     """A score read from JSON: an integer as written; 7.0 is refused here as
-    _check_submission refuses it."""
+    Submission itself refuses it."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ArgumentError(f"{where} must be an integer, got {value!r}")
@@ -55,14 +55,13 @@ class Submission:
     regulation_ids: tuple[str, ...] = ()
     narrative: str = ""
 
-
-def _check_submission(s: Submission) -> None:
-    for name in SCORE_FIELDS:
-        v = getattr(s, name)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise DomainError(f"submission score {name} must be an integer, got {v!r}")
-        if not 1 <= v <= 10:
-            raise DomainError(f"submission score {name} must be in [1, 10], got {v}")
+    def __post_init__(self) -> None:
+        for name in SCORE_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise DomainError(f"submission score {name} must be an integer, got {v!r}")
+            if not 1 <= v <= 10:
+                raise DomainError(f"submission score {name} must be in [1, 10], got {v}")
 
 
 @dataclass(frozen=True)
@@ -87,28 +86,24 @@ class ThresholdConfig:
     floor: float = 2.0
     ceiling: float = 8.0
 
-
-def _check_threshold_config(cfg: ThresholdConfig) -> None:
-    for name in ("base", "floor", "ceiling"):
-        v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-            raise ArgumentError(f"threshold config {name} must be positive, got {v!r}")
-    if not (0.0 <= cfg.kappa <= 1.0):
-        raise ArgumentError(f"kappa must be in [0, 1], got {cfg.kappa!r}")
-    if not (isinstance(cfg.window, int) and cfg.window >= 1):
-        raise ArgumentError(f"window must be a positive integer, got {cfg.window!r}")
-    if not cfg.floor <= cfg.base <= cfg.ceiling:
-        raise ArgumentError(
-            f"threshold config needs floor <= base <= ceiling, got "
-            f"{cfg.floor} / {cfg.base} / {cfg.ceiling}"
-        )
+    def __post_init__(self) -> None:
+        for name in ("base", "floor", "ceiling"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+                raise ArgumentError(f"threshold config {name} must be positive, got {v!r}")
+        if not (0.0 <= self.kappa <= 1.0):
+            raise ArgumentError(f"kappa must be in [0, 1], got {self.kappa!r}")
+        if not (isinstance(self.window, int) and self.window >= 1):
+            raise ArgumentError(f"window must be a positive integer, got {self.window!r}")
+        if not self.floor <= self.base <= self.ceiling:
+            raise ArgumentError(
+                f"threshold config needs floor <= base <= ceiling, got "
+                f"{self.floor} / {self.base} / {self.ceiling}"
+            )
 
 
 def compute_brr(s: Submission) -> float:
     """Benefit-risk ratio of a submission; always in [3/10, 30]."""
-    _check_submission(s)
-    if s.adverse < 1:
-        raise DomainError(f"adverse score must be >= 1, got {s.adverse}")
     return (s.safety + s.effectiveness + s.compliance) / s.adverse
 
 
@@ -136,7 +131,6 @@ def update_threshold(cfg: ThresholdConfig, recent_brrs: Sequence[float]) -> floa
     kappa toward the median of the last min(window, len) ratios, clipped
     into [floor, ceiling].
     """
-    _check_threshold_config(cfg)
     if not recent_brrs:
         return cfg.base
     tail = list(recent_brrs)[-cfg.window:]

@@ -32,6 +32,7 @@ from .dynamics import (
     _fmt,
     _integrate_raw,
     _step_count,
+    _write_text,
     integrate,
 )
 from .errors import ArgumentError, NumericalError
@@ -80,12 +81,20 @@ def _check_series(obs: ObservedSeries) -> None:
                 raise ArgumentError(f"{name}[{i}] must be finite and >= 0, got {v!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitOptions:
     max_iter: int = 2000
     tol: float = 1e-10
     restarts: int = 0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ArgumentError("max_iter must be >= 1")
+        if self.tol < 0.0:
+            raise ArgumentError("tol must be >= 0")
+        if self.restarts < 0:
+            raise ArgumentError("restarts must be >= 0")
 
 
 @dataclass
@@ -295,12 +304,6 @@ def fit(
     """
     prep = _prepare(obs, dt)
     opts = options or FitOptions()
-    if opts.max_iter < 1:
-        raise ArgumentError("max_iter must be >= 1")
-    if opts.tol < 0.0:
-        raise ArgumentError("tol must be >= 0")
-    if opts.restarts < 0:
-        raise ArgumentError("restarts must be >= 0")
     lo, hi = _check_bounds(bounds if bounds is not None else DEFAULT_PARAM_BOUNDS)
     x_guess = np.array([getattr(initial_guess, name) for name in PARAM_FIELDS])
     if np.any(x_guess < lo) or np.any(x_guess > hi):
@@ -387,16 +390,8 @@ def generate_synthetic(
 # ---------------------------------------------------------------------------
 
 def write_series_csv(obs: ObservedSeries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,G,C,M,F\n")
-        for j in range(len(obs.times)):
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (obs.times[j], obs.g_obs[j], obs.c_obs[j], obs.m_obs[j], obs.f_obs[j])
-                )
-                + "\n"
-            )
+    rows = zip(obs.times, obs.g_obs, obs.c_obs, obs.m_obs, obs.f_obs)
+    _write_text(path, ["t,G,C,M,F\n"] + [",".join(_fmt(v) for v in row) + "\n" for row in rows])
 
 
 def read_series_csv(path) -> ObservedSeries:

@@ -46,6 +46,7 @@ from .dynamics import (
     ModelParameters,
     SystemState,
     _bounds_from_json,
+    _write_text,
 )
 from .errors import ArgumentError, NumericalError
 from .schema import from_json, json_default
@@ -88,7 +89,7 @@ class Initial:
     state: InitialState = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigFile(SimulationConfig):
     """A --config file: the keys of a SimulationConfig, the start, and input
     paths that the matching command-line options override."""
@@ -107,9 +108,7 @@ def _write_json(obj, path: str) -> None:
     """fit.json and metrics.json: sorted keys, indent 2, a final newline. The
     text is built before the file is opened, so a value JSON cannot hold
     raises TypeError and leaves an earlier file whole."""
-    text = json.dumps(obj, default=json_default, sort_keys=True, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, (json.dumps(obj, default=json_default, sort_keys=True, indent=2), "\n"))
 
 
 def _load_profiles(path: str | None) -> list[ManufacturerProfile]:
@@ -147,19 +146,17 @@ def _ensure_outdir(path: str) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     manifest = from_json(ConfigFile, {} if args.config is None else _load_json(args.config), "config")
-    config = SimulationConfig(**{f.name: getattr(manifest, f.name) for f in fields(SimulationConfig)})
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.steps is not None:
-        config.total_steps = args.steps
-    if args.policy is not None:
-        config.policy_kind = args.policy
+    settings = {f.name: getattr(manifest, f.name) for f in fields(SimulationConfig)}
+    for name, flag in (("seed", args.seed), ("total_steps", args.steps), ("policy_kind", args.policy)):
+        if flag is not None:
+            settings[name] = flag
     if args.llm_endpoint is not None:
-        config.llm = (
+        settings["llm"] = (
             ClientConfig(endpoint=args.llm_endpoint)
-            if config.llm is None
-            else replace(config.llm, endpoint=args.llm_endpoint)
+            if manifest.llm is None
+            else replace(manifest.llm, endpoint=args.llm_endpoint)
         )
+    config = SimulationConfig(**settings)
     formats = _parse_formats(args.format)
 
     profiles = _load_profiles(args.profiles or manifest.profiles_file)

@@ -39,6 +39,12 @@ class Regulation:
     body: str
     topic: str
 
+    def __post_init__(self) -> None:
+        if self.strictness not in _STRICTNESS_VALUES:
+            raise ArgumentError(
+                f"regulation {self.id!r} has invalid strictness {self.strictness!r}"
+            )
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -50,12 +56,11 @@ class Schedule:
     lenient_steps: int = 5
     cycle: bool = True
 
-
-def _check_schedule(s: Schedule) -> None:
-    for name in ("strict_steps", "lenient_steps"):
-        v = getattr(s, name)
-        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-            raise ArgumentError(f"schedule {name} must be a positive integer, got {v!r}")
+    def __post_init__(self) -> None:
+        for name in ("strict_steps", "lenient_steps"):
+            v = getattr(self, name)
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+                raise ArgumentError(f"schedule {name} must be a positive integer, got {v!r}")
 
 
 _DEFAULT_REGULATIONS: list[tuple[str, str, str, str, str]] = [
@@ -196,10 +201,6 @@ def _check_corpus(corpus: list[Regulation]) -> None:
         raise ArgumentError("corpus is empty")
     seen: set[str] = set()
     for reg in corpus:
-        if reg.strictness not in _STRICTNESS_VALUES:
-            raise ArgumentError(
-                f"regulation {reg.id!r} has invalid strictness {reg.strictness!r}"
-            )
         if reg.id in seen:
             raise ArgumentError(f"duplicate regulation id {reg.id!r}")
         seen.add(reg.id)
@@ -207,7 +208,6 @@ def _check_corpus(corpus: list[Regulation]) -> None:
 
 def active_phase(t: int, s: Schedule) -> str:
     """Phase ('strict' or 'lenient') in effect at step t (0-based)."""
-    _check_schedule(s)
     if not (isinstance(t, int) and not isinstance(t, bool) and t >= 0):
         raise ArgumentError(f"t must be a non-negative integer, got {t!r}")
     if s.cycle:

@@ -48,6 +48,16 @@ __all__ = [
 MAX_STEPS = 10_000_000
 
 
+def _reject_field(kind: str, obj) -> None:
+    """DomainError naming the first field of obj that is not finite or is
+    negative; kind names what the fields are in the message."""
+    for name, v in vars(obj).items():
+        if not math.isfinite(v):
+            raise DomainError(f"{kind} {name} is not finite: {v!r}")
+        if v < 0.0:
+            raise DomainError(f"{kind} {name} must be >= 0, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ModelParameters:
     """The 13 coefficients of the coupled system.
@@ -70,6 +80,11 @@ class ModelParameters:
     beta3: float = 0.0
     gamma1: float = 0.0
     gamma2: float = 0.0
+
+    def __post_init__(self) -> None:
+        # "0 <= v < inf" is false for nan, so a valid set passes in one pass
+        if not all(0.0 <= v < math.inf for v in vars(self).values()):
+            _reject_field("parameter", self)
 
     def replace(self, **changes: float) -> "ModelParameters":
         return replace(self, **changes)
@@ -107,12 +122,21 @@ DEFAULT_PARAMETERS = ModelParameters(
 
 @dataclass(frozen=True)
 class SystemState:
-    """A point of the system: time plus the three state components."""
+    """A point of the system: time plus the three state components, all finite and >= 0."""
 
     t: float
     g: float
     c: float
     m: float
+
+    def __post_init__(self) -> None:
+        # integrate builds one state per sample: one chained test clears a
+        # valid state, only a failure walks the fields for the message
+        inf = math.inf
+        if not (
+            0.0 <= self.t < inf and 0.0 <= self.g < inf and 0.0 <= self.c < inf and 0.0 <= self.m < inf
+        ):
+            _reject_field("state field", self)
 
 
 DEFAULT_INITIAL_STATE = SystemState(t=0.0, g=0.5, c=0.5, m=0.5)
@@ -141,24 +165,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-def _check_parameters(p: ModelParameters) -> None:
-    for name in PARAM_FIELDS:
-        v = getattr(p, name)
-        if not math.isfinite(v):
-            raise DomainError(f"parameter {name} is not finite: {v!r}")
-        if v < 0.0:
-            raise DomainError(f"parameter {name} must be >= 0, got {v!r}")
-
-
-def _check_state(s: SystemState) -> None:
-    for name in ("t", "g", "c", "m"):
-        v = getattr(s, name)
-        if not math.isfinite(v):
-            raise DomainError(f"state field {name} is not finite: {v!r}")
-        if v < 0.0:
-            raise DomainError(f"state field {name} must be >= 0, got {v!r}")
-
 
 def _real(value, where: str) -> float:
     """A JSON number as a float; ArgumentError for anything else."""
@@ -231,15 +237,11 @@ def _feedback(p: ModelParameters, c: float, m: float) -> float:
 
 def eval_feedback(state: SystemState, p: ModelParameters) -> float:
     """Feedback level f at a state; bounded by alpha4 * m."""
-    _check_state(state)
-    _check_parameters(p)
     return _feedback(p, state.c, state.m)
 
 
 def eval_derivatives(state: SystemState, p: ModelParameters) -> tuple[float, float, float]:
     """Time derivatives (dg, dc, dm) at a state."""
-    _check_state(state)
-    _check_parameters(p)
     t, g, c, m = state.t, state.g, state.c, state.m
     f = _feedback(p, c, m)
     return (
@@ -361,8 +363,6 @@ def step_rk4(state: SystemState, p: ModelParameters, dt: float) -> SystemState:
     Raises NumericalError (step_index 0) when the step is not finite.
     """
     _check_dt(dt)
-    _check_state(state)
-    _check_parameters(p)
     g, c, m, _, _ = _rk4_run(p, state.t, state.g, state.c, state.m, dt, 1)
     return SystemState(t=state.t + dt, g=g, c=c, m=m)
 
@@ -403,15 +403,15 @@ def integrate(
     _check_dt(dt)
     if not (math.isfinite(horizon) and horizon >= dt):
         raise ArgumentError(f"horizon must satisfy horizon >= dt, got {horizon!r}")
-    _check_state(initial)
-    _check_parameters(p)
     steps = _step_count(horizon, dt)
     if steps > MAX_STEPS:
         raise ArgumentError(f"horizon/dt requires {steps} steps; limit is {MAX_STEPS}")
 
-    raw, clamps = _integrate_raw(initial.t, initial.g, initial.c, initial.m, p, steps, dt)
+    t0 = initial.t
+    raw, clamps = _integrate_raw(t0, initial.g, initial.c, initial.m, p, steps, dt)
     samples = [
-        (SystemState(t=initial.t + k * dt, g=g, c=c, m=m), _feedback(p, c, m))
+        # positional arguments: a keyword call costs more than the state's check
+        (SystemState(t0 + k * dt, g, c, m), _feedback(p, c, m))
         for k, (g, c, m) in enumerate(raw)
     ]
     return Trajectory(samples=samples, dt=dt, clamp_events=clamps)
@@ -432,10 +432,8 @@ def advance(
     _check_dt(dt)
     if not (isinstance(substeps, int) and substeps >= 1):
         raise ArgumentError(f"substeps must be a positive integer, got {substeps!r}")
-    _check_state(state)
-    _check_parameters(p)
     g, c, m, cost, clamps = _rk4_run(p, state.t, state.g, state.c, state.m, dt / substeps, substeps)
-    return SystemState(t=state.t + dt, g=g, c=c, m=m), _feedback(p, c, m), cost, clamps
+    return SystemState(state.t + dt, g, c, m), _feedback(p, c, m), cost, clamps
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +442,17 @@ def advance(
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _write_text(path, pieces) -> None:
+    """Write an iterable of text pieces to path as UTF-8 with "\n" line
+    ends; ArgumentError naming the path when it cannot be written, for
+    example when it is a directory."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc}") from None
 
 
 def trajectory_csv_lines(traj: Trajectory) -> list[str]:
@@ -457,5 +466,4 @@ def trajectory_csv_lines(traj: Trajectory) -> list[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(trajectory_csv_lines(traj)) + "\n")
+    _write_text(path, ("\n".join(trajectory_csv_lines(traj)), "\n"))

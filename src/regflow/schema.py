@@ -4,7 +4,9 @@ from_json reads a dataclass from parsed JSON by its fields and their type
 hints. An unknown key, a missing key whose field has no default, or a value
 that does not match its annotation raises ArgumentError naming the value's
 dotted path, for example ``config.schedule.cycle`` or
-``result.records[3].agents.A.state.g``. Nothing is coerced:
+``result.records[3].agents.A.state.g``. A class that checks its own values
+when built (ModelParameters, Schedule, ...) raises with that path in front,
+``config.schedule: schedule strict_steps must be ...``. Nothing is coerced:
 
     float             any JSON number (dynamics._real)
     int               a JSON number without a fractional part (dynamics._integer)
@@ -72,7 +74,7 @@ def from_json(cls, data, where: str, defaults: typing.Mapping | None = None):
     default; `where` is the path of data in error messages."""
     table = _fields(cls)
     if table[0][1].metadata.get("inline"):
-        return cls(_field(table[0], data, where))
+        return _build(cls, where, _field(table[0], data, where))
     if not isinstance(data, dict):
         raise ArgumentError(f"{where} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - {key for key, _, _ in table})
@@ -87,7 +89,16 @@ def from_json(cls, data, where: str, defaults: typing.Mapping | None = None):
             values[f.name] = defaults[f.name]
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ArgumentError(f"{where} is missing {key!r}")
-    return cls(**values)
+    return _build(cls, where, **values)
+
+
+def _build(cls, where: str, *args, **kwargs):
+    """cls(*args, **kwargs), with `where` in front of the message of an
+    ArgumentError that the class's own checks raise."""
+    try:
+        return cls(*args, **kwargs)
+    except ArgumentError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _field(row, value, path: str):

@@ -43,6 +43,7 @@ from .dynamics import (
     _bounds_from_json,
     _fmt,
     _real,
+    _write_text,
     advance,
     eval_feedback,
 )
@@ -68,8 +69,10 @@ __all__ = [
 POLICY_KINDS = ("rule", "scripted", "llm")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
+    """The settings of a run; change one with dataclasses.replace."""
+
     total_steps: int = 73
     dt_per_step: float = 0.05
     inner_substeps: int = 20
@@ -84,20 +87,19 @@ class SimulationConfig:
     llm: ClientConfig | None = None
     llm_concurrency: int = 4
 
-
-def _check_config(config: SimulationConfig) -> None:
-    if not (isinstance(config.total_steps, int) and config.total_steps >= 1):
-        raise ArgumentError(f"total_steps must be >= 1, got {config.total_steps!r}")
-    if not (isinstance(config.inner_substeps, int) and config.inner_substeps >= 1):
-        raise ArgumentError(f"inner_substeps must be >= 1, got {config.inner_substeps!r}")
-    if not (math.isfinite(config.dt_per_step) and config.dt_per_step > 0.0):
-        raise ArgumentError(f"dt_per_step must be positive, got {config.dt_per_step!r}")
-    if config.policy_kind not in POLICY_KINDS:
-        raise ArgumentError(f"policy_kind must be one of {POLICY_KINDS}, got {config.policy_kind!r}")
-    if not (math.isfinite(config.max_step) and config.max_step > 0.0):
-        raise ArgumentError(f"max_step must be positive, got {config.max_step!r}")
-    if not (isinstance(config.llm_concurrency, int) and config.llm_concurrency >= 1):
-        raise ArgumentError(f"llm_concurrency must be >= 1, got {config.llm_concurrency!r}")
+    def __post_init__(self) -> None:
+        if not (isinstance(self.total_steps, int) and self.total_steps >= 1):
+            raise ArgumentError(f"total_steps must be >= 1, got {self.total_steps!r}")
+        if not (isinstance(self.inner_substeps, int) and self.inner_substeps >= 1):
+            raise ArgumentError(f"inner_substeps must be >= 1, got {self.inner_substeps!r}")
+        if not (math.isfinite(self.dt_per_step) and self.dt_per_step > 0.0):
+            raise ArgumentError(f"dt_per_step must be positive, got {self.dt_per_step!r}")
+        if self.policy_kind not in POLICY_KINDS:
+            raise ArgumentError(f"policy_kind must be one of {POLICY_KINDS}, got {self.policy_kind!r}")
+        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
+            raise ArgumentError(f"max_step must be positive, got {self.max_step!r}")
+        if not (isinstance(self.llm_concurrency, int) and self.llm_concurrency >= 1):
+            raise ArgumentError(f"llm_concurrency must be >= 1, got {self.llm_concurrency!r}")
 
 
 @dataclass
@@ -134,7 +136,6 @@ class SimulationResult:
 
 
 AgentInit = tuple[ModelParameters, SystemState]
-DecideFn = Callable[[int, ManufacturerProfile, list[Regulation], SystemState, PolicyEnv], AgentDecision]
 
 
 def default_initial(
@@ -151,13 +152,11 @@ def default_initial(
 
 
 def _check_decision(decision: AgentDecision, agent_id: str, max_step: float) -> None:
-    if decision.comply:
-        if decision.submission is None:
-            raise ArgumentError(f"agent {agent_id}: comply decision without a submission")
-        if decision.submission.agent_id != agent_id:
-            raise ArgumentError(
-                f"agent {agent_id}: submission carries id {decision.submission.agent_id!r}"
-            )
+    """The checks of a decision that depend on the run."""
+    if decision.comply and decision.submission.agent_id != agent_id:
+        raise ArgumentError(
+            f"agent {agent_id}: submission carries id {decision.submission.agent_id!r}"
+        )
     for name, delta in decision.adjustments.deltas.items():
         if abs(delta) > max_step + 1e-15:
             raise ArgumentError(
@@ -172,7 +171,6 @@ def _run_engine(
     corpus: list[Regulation],
     decide_step: Callable[[int, list], dict[str, AgentDecision]],
 ) -> SimulationResult:
-    _check_config(config)
     if not profiles:
         raise ArgumentError("at least one manufacturer profile is required")
     ids = sorted(p.id for p in profiles)
@@ -284,8 +282,6 @@ def run(
     corpus: list[Regulation],
 ) -> SimulationResult:
     """Run the configured policy for total_steps steps."""
-    _check_config(config)
-    pool: ThreadPoolExecutor | None = None
     if config.policy_kind == "rule":
 
         def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
@@ -294,37 +290,23 @@ def run(
                 for prof, regs, state, env in items
             }
 
-    elif config.policy_kind == "llm":
-        if config.llm is None:
-            raise ArgumentError("policy_kind 'llm' requires config.llm client settings")
-        client = config.llm
-        workers = min(config.llm_concurrency, len(profiles))
-        if workers > 1:
-            # one pool for the whole run, shut down in the finally below
-            pool = ThreadPoolExecutor(max_workers=workers)
+        return _run_engine(config, profiles, initial, corpus, decide_step)
+    if config.policy_kind == "scripted":
+        raise ArgumentError("policy_kind 'scripted' requires run_scripted with a script")
+    if config.llm is None:
+        raise ArgumentError("policy_kind 'llm' requires config.llm client settings")
+    client = config.llm
+    # one pool for the whole run, shut down however the run ends
+    with ThreadPoolExecutor(max_workers=max(1, min(config.llm_concurrency, len(profiles)))) as pool:
 
         def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
-            if pool is None:
-                return {
-                    prof.id: llm_policy_decide(prof, regs, state, env, client, config.max_step)
-                    for prof, regs, state, env in items
-                }
             futures = {
                 prof.id: pool.submit(llm_policy_decide, prof, regs, state, env, client, config.max_step)
                 for prof, regs, state, env in items
             }
             return {aid: fut.result() for aid, fut in futures.items()}
 
-    elif config.policy_kind == "scripted":
-        raise ArgumentError("policy_kind 'scripted' requires run_scripted with a script")
-    else:  # pragma: no cover - guarded by _check_config
-        raise ArgumentError(f"unknown policy_kind {config.policy_kind!r}")
-
-    try:
         return _run_engine(config, profiles, initial, corpus, decide_step)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def run_scripted(
@@ -336,7 +318,6 @@ def run_scripted(
 ) -> SimulationResult:
     """Replay decisions from a script keyed by (step, agent_id). Every key
     must name a step of the run and an agent of the roster."""
-    _check_config(config)
     ids = {p.id for p in profiles}
     for step, aid in sorted(script):
         if aid not in ids:
@@ -492,26 +473,27 @@ def result_from_json_dict(data: dict) -> SimulationResult:
 
 
 def write_result_json(result: SimulationResult, path) -> None:
-    """Compact sorted JSON plus a newline. The newline is a second write:
+    """Compact sorted JSON plus a newline. The newline is a second piece:
     appending it to the text would copy the whole document once more."""
     text = json.dumps(result, default=json_default, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_text(path, (text, "\n"))
 
 
 def write_result_csv(result: SimulationResult, path) -> None:
     """Per-agent trajectory rows: step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation\n")
+
+    def rows():
+        yield "step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation\n"
         for rec in result.records:
             for aid in sorted(rec.agents):
                 ar = rec.agents[aid]
                 brr = "" if ar.brr is None else _fmt(ar.brr)
                 approved = "" if ar.approved is None else ("true" if ar.approved else "false")
-                fh.write(
+                yield (
                     f"{rec.step},{aid},{_fmt(ar.state.g)},{_fmt(ar.state.c)},"
                     f"{_fmt(ar.state.m)},{_fmt(ar.f)},{brr},{approved},"
                     f"{_fmt(rec.threshold)},{_fmt(ar.compliance_cost)},"
                     f"{_fmt(ar.market_adaptation)}\n"
                 )
+
+    _write_text(path, rows())

@@ -731,3 +731,91 @@ def test_json_the_parser_refuses_exits_2(tmp_path, capsys, text, message):
     path.write_text(text)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert f"{path} {message}" in capsys.readouterr().err
+
+
+SUBMISSION = {"agent_id": "A", "safety": 5, "effectiveness": 5, "compliance": 5, "adverse": 5}
+
+
+def test_scripted_run_with_an_unknown_resource_tier_exits_2(tmp_path, capsys):
+    # the scripted policy never reads the tier, so only the profile's own
+    # check can refuse it
+    profiles = tmp_path / "gold.json"
+    profiles.write_text(json.dumps([{**PROFILE, "resource_tier": "gold"}]))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"step": 0, "agent": "A", "decision": HOLD}]))
+    assert main([
+        "simulate", "--policy", "scripted", "--profiles", str(profiles), "--script", str(script),
+        "--steps", "1", "--out", str(tmp_path),
+    ]) == 2
+    assert "profile entry 0: unknown resource tier 'gold'" in capsys.readouterr().err
+
+
+def test_declined_script_decision_with_an_out_of_range_submission_exits_2(tmp_path, capsys):
+    decision = {**HOLD, "submission": {**SUBMISSION, "safety": 0}}
+    assert run_script(tmp_path, [{"step": 0, "agent": "A", "decision": decision}]) == 2
+    err = capsys.readouterr().err
+    assert "script entry 0.decision.submission: submission score safety must be in [1, 10], got 0" in err
+
+
+@pytest.mark.parametrize(
+    "schedule, threshold, where",
+    [
+        ({"strict_steps": 0}, {}, "config.schedule: schedule strict_steps"),
+        ({}, {"kappa": 5}, "config.threshold: kappa must be in [0, 1]"),
+        ({"strict_steps": 0}, {"kappa": 5}, "config.schedule: schedule strict_steps"),
+    ],
+)
+def test_metrics_on_a_result_with_an_out_of_range_config_exits_2(tmp_path, capsys, schedule, threshold, where):
+    out = tmp_path / "run"
+    assert main(["simulate", "--steps", "2", "--out", str(out)]) == 0
+    data = json.loads((out / "result.json").read_text())
+    data["config"]["schedule"].update(schedule)
+    data["config"]["threshold"].update(threshold)
+    (out / "result.json").write_text(json.dumps(data))
+    assert main(["metrics", "--result", str(out / "result.json"), "--out", str(tmp_path / "m")]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_metrics_on_a_result_with_an_unknown_resource_tier_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--steps", "2", "--out", str(out)]) == 0
+    data = json.loads((out / "result.json").read_text())
+    data["profiles"][0]["resource_tier"] = "gold"
+    (out / "result.json").write_text(json.dumps(data))
+    assert main(["metrics", "--result", str(out / "result.json"), "--groups", "auto", "--out", str(out)]) == 2
+    assert "profile 0: unknown resource tier 'gold'" in capsys.readouterr().err
+
+
+def test_calibrate_negative_guess_coefficient_names_the_guess_file(tmp_path, capsys):
+    guess = tmp_path / "guess.json"
+    guess.write_text(json.dumps({"alpha1": -0.1}))
+    argv = ["calibrate", "--obs", series_file(tmp_path), "--guess", str(guess), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"guess file {guess}: parameter alpha1 must be >= 0, got -0.1" in capsys.readouterr().err
+
+
+def test_config_file_out_of_range_value_exits_2_even_when_a_flag_overrides_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"total_steps": 0}))
+    assert main(["simulate", "--config", str(cfg), "--steps", "2", "--out", str(tmp_path)]) == 2
+    assert "config: total_steps must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "output, argv",
+    [
+        ("result.json", ["simulate", "--steps", "1", "--format", "json"]),
+        ("trajectories.csv", ["simulate", "--steps", "1", "--format", "csv"]),
+        ("fit.json", ["calibrate", "--obs", "{obs}", "--max-iter", "2"]),
+        ("metrics.json", ["metrics", "--result", "{result}"]),
+        ("sweep.csv", ["sweep", "--parameter", "alpha1", "--values", "0.1", "--horizon", "1"]),
+    ],
+)
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, output, argv):
+    if "{result}" in argv:
+        assert main(["simulate", "--steps", "2", "--out", str(tmp_path / "run")]) == 0
+    values = {"{obs}": series_file(tmp_path), "{result}": str(tmp_path / "run" / "result.json")}
+    out = tmp_path / "out"
+    (out / output).mkdir(parents=True)
+    assert main([values.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    assert f"error: cannot write {out / output}: " in capsys.readouterr().err

@@ -119,9 +119,9 @@ def test_llm_run_builds_one_thread_pool(pools):
     profiles = list(DEFAULT_PROFILES)[:6]
     with StubLLMServer(behavior="reply", reply_content=GOOD_REPLY) as server:
         serial = run(llm_config(server, steps=5, concurrency=1), profiles, default_initial(profiles), CORPUS)
-        assert pools == []
+        assert len(pools) == 1 and pools[0]._max_workers == 1 and pools[0].shut_down
         pooled = run(llm_config(server, steps=5, concurrency=4), profiles, default_initial(profiles), CORPUS)
-    assert len(pools) == 1 and pools[0].shut_down
+    assert len(pools) == 2 and pools[1]._max_workers == 4 and pools[1].shut_down
     a = json.dumps(simulation.result_to_json_dict(serial)["records"], sort_keys=True)
     b = json.dumps(simulation.result_to_json_dict(pooled)["records"], sort_keys=True)
     assert a == b
