@@ -25,7 +25,9 @@ import ssl
 import urllib.error
 import urllib.parse
 import urllib.request
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .brr import Submission
 from .corpus import Regulation
@@ -34,7 +36,8 @@ from .dynamics import (
     PARAM_FIELDS,
     ModelParameters,
     SystemState,
-    _integer,
+    _count,
+    _number,
     _real,
 )
 from .errors import ArgumentError, ReplyParseError
@@ -80,10 +83,7 @@ class ManufacturerProfile:
             raise ArgumentError(f"unknown resource tier {self.resource_tier!r}")
         if self.risk_preference not in RISK_PREFERENCES:
             raise ArgumentError(f"unknown risk preference {self.risk_preference!r}")
-        if not 0.0 <= self.ai_investment_fraction <= 1.0:
-            raise ArgumentError(
-                f"ai_investment_fraction must be in [0, 1], got {self.ai_investment_fraction!r}"
-            )
+        _number(self.ai_investment_fraction, "ai_investment_fraction", high=1.0)
 
 
 def _profile_from_dict(data, where: str) -> ManufacturerProfile:
@@ -116,16 +116,17 @@ def _deltas(data, where: str) -> dict:
         raise ArgumentError(f"{where} must be a JSON object, got {data!r}")
     for name, value in data.items():
         _real(value, f"{where}.{name}")
-    return dict(data)
+    return data
 
 
 @dataclass(frozen=True)
 class ParameterAdjustment:
-    """Per-step deltas keyed by coefficient name; in JSON, the deltas object."""
+    """Per-step deltas keyed by coefficient name, held read-only; in JSON, the deltas object."""
 
-    deltas: dict[str, float] = field(metadata={"inline": True, "load": _deltas})
+    deltas: Mapping[str, float] = field(metadata={"inline": True, "load": _deltas})
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "deltas", MappingProxyType(dict(self.deltas)))
         for name, delta in self.deltas.items():
             if name not in PARAM_FIELDS:
                 raise ArgumentError(f"unknown parameter name {name!r}")
@@ -433,14 +434,8 @@ class ClientConfig:
             scheme = ""
         if scheme not in ("http", "https"):
             raise ArgumentError(f"llm.endpoint must be an http or https URL, got {self.endpoint!r}")
-        timeout = _real(self.timeout, "llm.timeout")
-        if not (math.isfinite(timeout) and timeout > 0.0):
-            raise ArgumentError(f"llm.timeout must be a positive finite number, got {timeout!r}")
-        retries = _integer(self.retries, "llm.retries")
-        if retries < 0:
-            raise ArgumentError(f"llm.retries must be >= 0, got {retries!r}")
-        object.__setattr__(self, "timeout", timeout)
-        object.__setattr__(self, "retries", retries)
+        _number(self.timeout, "llm.timeout", positive=True)
+        _count(self.retries, "llm.retries", 0)
 
 
 @functools.cache

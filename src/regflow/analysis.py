@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ModelParameters, PARAM_FIELDS, SystemState, _fmt, _write_text, integrate
+from .dynamics import ModelParameters, PARAM_FIELDS, SystemState, _fmt, _number, _write_text, integrate
 from .errors import ArgumentError, NumericalError
 
 __all__ = [
@@ -66,8 +66,7 @@ def adherence_accuracy(
         raise ArgumentError(
             f"series lengths differ: {len(c_series)} vs {len(g_series)}"
         )
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ArgumentError(f"epsilon must be positive, got {epsilon!r}")
+    _number(epsilon, "epsilon", positive=True)
     hits = sum(1 for c, g in zip(c_series, g_series) if abs(c - g) < epsilon)
     return hits / len(c_series)
 
@@ -155,10 +154,9 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if not (a > 0.0 and b > 0.0):
-        raise ArgumentError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ArgumentError(f"x must lie in [0, 1], got {x}")
+    _number(a, "a", positive=True)
+    _number(b, "b", positive=True)
+    _number(x, "x", high=1.0)
     if x == 0.0 or x == 1.0:
         return x
     ln_front = (
@@ -178,8 +176,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
     """CDF of the F(df1, df2) distribution."""
-    if df1 <= 0.0 or df2 <= 0.0:
-        raise ArgumentError(f"degrees of freedom must be positive, got {df1}, {df2}")
+    _number(df1, "df1", positive=True)
+    _number(df2, "df2", positive=True)
     if x <= 0.0:
         return 0.0
     return regularized_incomplete_beta(0.5 * df1, 0.5 * df2, df1 * x / (df1 * x + df2))
@@ -187,8 +185,8 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
 
 def f_sf(x: float, df1: float, df2: float) -> float:
     """Upper tail 1 - CDF, computed directly for accuracy at large x."""
-    if df1 <= 0.0 or df2 <= 0.0:
-        raise ArgumentError(f"degrees of freedom must be positive, got {df1}, {df2}")
+    _number(df1, "df1", positive=True)
+    _number(df2, "df2", positive=True)
     if x <= 0.0:
         return 1.0
     return regularized_incomplete_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + df1 * x))
@@ -341,8 +339,7 @@ def sweep(
     if len(values) == 0:
         raise ArgumentError("values must be non-empty")
     for v in values:
-        if not (math.isfinite(v) and v >= 0.0):
-            raise ArgumentError(f"sweep value must be finite and >= 0, got {v!r}")
+        _number(v, "sweep value")
 
     baseline = _terminal_outputs(base, initial, horizon, dt)
     outputs: dict[str, list[float]] = {name: [] for name in OUTPUT_NAMES}

@@ -14,10 +14,10 @@ with the market instead of reacting to any single submission.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .dynamics import _count, _number
 from .errors import ArgumentError, DomainError
 
 __all__ = [
@@ -88,13 +88,9 @@ class ThresholdConfig:
 
     def __post_init__(self) -> None:
         for name in ("base", "floor", "ceiling"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise ArgumentError(f"threshold config {name} must be positive, got {v!r}")
-        if not (0.0 <= self.kappa <= 1.0):
-            raise ArgumentError(f"kappa must be in [0, 1], got {self.kappa!r}")
-        if not (isinstance(self.window, int) and self.window >= 1):
-            raise ArgumentError(f"window must be a positive integer, got {self.window!r}")
+            _number(getattr(self, name), f"threshold config {name}", positive=True)
+        _number(self.kappa, "kappa", high=1.0)
+        _count(self.window, "window")
         if not self.floor <= self.base <= self.ceiling:
             raise ArgumentError(
                 f"threshold config needs floor <= base <= ceiling, got "
@@ -109,9 +105,8 @@ def compute_brr(s: Submission) -> float:
 
 def decide(brr: float, threshold: float) -> BRRDecision:
     """Approve iff brr meets or exceeds the threshold (exact comparison)."""
-    for name, v in (("brr", brr), ("threshold", threshold)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-            raise ArgumentError(f"{name} must be positive and finite, got {v!r}")
+    _number(brr, "brr", positive=True)
+    _number(threshold, "threshold", positive=True)
     return BRRDecision(brr=brr, threshold=threshold, approved=brr >= threshold)
 
 

@@ -27,10 +27,12 @@ from .dynamics import (
     PARAM_FIELDS,
     ModelParameters,
     SystemState,
-    _check_bound,
+    _check_box,
+    _count,
     _feedback,
     _fmt,
     _integrate_raw,
+    _number,
     _step_count,
     _write_text,
     integrate,
@@ -70,15 +72,17 @@ def _check_series(obs: ObservedSeries) -> None:
     for name in ("g_obs", "c_obs", "m_obs", "f_obs"):
         if len(getattr(obs, name)) != n:
             raise ArgumentError(f"{name} length {len(getattr(obs, name))} != times length {n}")
-    for i in range(n):
-        if not math.isfinite(obs.times[i]):
-            raise ArgumentError(f"times[{i}] is not finite")
-        if i and obs.times[i] <= obs.times[i - 1]:
-            raise ArgumentError(f"times must be strictly increasing at index {i}")
-    for name in ("g_obs", "c_obs", "m_obs", "f_obs"):
+    columns = (("times", -math.inf), ("g_obs", 0.0), ("c_obs", 0.0), ("m_obs", 0.0), ("f_obs", 0.0))
+    for name, low in columns:
         for i, v in enumerate(getattr(obs, name)):
-            if not math.isfinite(v) or v < 0.0:
-                raise ArgumentError(f"{name}[{i}] must be finite and >= 0, got {v!r}")
+            try:
+                _number(v, name, low)
+            except ArgumentError:
+                # the row's label is built only for the value that fails
+                _number(v, f"{name}[{i}]", low)
+    for i in range(1, n):
+        if obs.times[i] <= obs.times[i - 1]:
+            raise ArgumentError(f"times must be strictly increasing at index {i}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +93,9 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ArgumentError("max_iter must be >= 1")
-        if self.tol < 0.0:
-            raise ArgumentError("tol must be >= 0")
-        if self.restarts < 0:
-            raise ArgumentError("restarts must be >= 0")
+        _count(self.max_iter, "max_iter")
+        _number(self.tol, "tol")
+        _count(self.restarts, "restarts", 0)
 
 
 @dataclass
@@ -130,8 +131,7 @@ def _prepare(obs: ObservedSeries, dt: float) -> tuple[int, list[int]]:
     """Check the series and dt; return what every residual evaluation
     shares: the step count and the sample index of each observed row."""
     _check_series(obs)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ArgumentError(f"dt must be positive, got {dt!r}")
+    _number(dt, "dt", positive=True)
     t0 = obs.times[0]
     steps = _step_count(obs.times[-1] - t0, dt)
     idxs = []
@@ -173,8 +173,12 @@ def objective(
     Returns the total and the per-variable components (e_g, e_c, e_m, e_f)
     of the residuals from _residuals, each summed in row order.
     """
+    return _sum_squares(_residuals(p, obs, dt, _prepare(obs, dt)))
+
+
+def _sum_squares(rows) -> tuple[float, tuple[float, float, float, float]]:
     components = []
-    for row in _residuals(p, obs, dt, _prepare(obs, dt)):
+    for row in rows:
         e = 0.0
         for v in row:
             e += v ** 2
@@ -271,16 +275,6 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
     return x, f, max_iter, False
 
 
-def _check_bounds(bounds: dict[str, tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.empty(len(PARAM_FIELDS))
-    hi = np.empty(len(PARAM_FIELDS))
-    for i, name in enumerate(PARAM_FIELDS):
-        if name not in bounds:
-            raise ArgumentError(f"bounds missing field {name}")
-        lo[i], hi[i] = _check_bound(name, bounds[name])
-    return lo, hi
-
-
 def fit(
     obs: ObservedSeries,
     initial_guess: ModelParameters,
@@ -304,7 +298,8 @@ def fit(
     """
     prep = _prepare(obs, dt)
     opts = options or FitOptions()
-    lo, hi = _check_bounds(bounds if bounds is not None else DEFAULT_PARAM_BOUNDS)
+    box = _check_box(bounds if bounds is not None else DEFAULT_PARAM_BOUNDS, "bounds")
+    lo, hi = (np.array(side) for side in zip(*box.values()))
     x_guess = np.array([getattr(initial_guess, name) for name in PARAM_FIELDS])
     if np.any(x_guess < lo) or np.any(x_guess > hi):
         raise ArgumentError("initial_guess lies outside the bounds box")
@@ -333,7 +328,7 @@ def fit(
             best_x, best_f, best_conv = x, f, conv
 
     params = ModelParameters(*best_x.tolist())
-    total, components = objective(params, obs, dt)
+    total, components = _sum_squares(_residuals(params, obs, dt, prep))
     return FitResult(
         params=params,
         objective_value=total,
@@ -359,10 +354,8 @@ def generate_synthetic(
 ) -> ObservedSeries:
     """Integrate, subsample every `sample_every` steps, and optionally add
     independent Gaussian noise (clamped at zero). Deterministic per seed."""
-    if not (isinstance(sample_every, int) and sample_every >= 1):
-        raise ArgumentError(f"sample_every must be a positive integer, got {sample_every!r}")
-    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
-        raise ArgumentError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
+    _count(sample_every, "sample_every")
+    _number(noise_sd, "noise_sd")
     traj = integrate(initial, p, horizon, dt)
     picks = range(0, len(traj.samples), sample_every)
     rows = [traj.samples[k] for k in picks]

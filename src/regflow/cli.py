@@ -79,6 +79,9 @@ class InitialState:
     c: float = DEFAULT_INITIAL_STATE.c
     m: float = DEFAULT_INITIAL_STATE.m
 
+    def __post_init__(self) -> None:
+        SystemState(0.0, self.g, self.c, self.m)
+
 
 @dataclass(frozen=True)
 class Initial:

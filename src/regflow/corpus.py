@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dynamics import _count
 from .errors import ArgumentError
 from .schema import from_json, read_json
 
@@ -57,10 +58,8 @@ class Schedule:
     cycle: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("strict_steps", "lenient_steps"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-                raise ArgumentError(f"schedule {name} must be a positive integer, got {v!r}")
+        _count(self.strict_steps, "schedule strict_steps")
+        _count(self.lenient_steps, "schedule lenient_steps")
 
 
 _DEFAULT_REGULATIONS: list[tuple[str, str, str, str, str]] = [
@@ -208,8 +207,7 @@ def _check_corpus(corpus: list[Regulation]) -> None:
 
 def active_phase(t: int, s: Schedule) -> str:
     """Phase ('strict' or 'lenient') in effect at step t (0-based)."""
-    if not (isinstance(t, int) and not isinstance(t, bool) and t >= 0):
-        raise ArgumentError(f"t must be a non-negative integer, got {t!r}")
+    _count(t, "t", 0)
     if s.cycle:
         r = t % (s.strict_steps + s.lenient_steps)
         return STRICT if r < s.strict_steps else LENIENT

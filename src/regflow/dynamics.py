@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
 from .errors import ArgumentError, DomainError, NumericalError
@@ -186,34 +187,63 @@ def _integer(value, where: str) -> int:
     raise ArgumentError(f"{where} must be an integer, got {value!r}")
 
 
-def _check_bound(name: str, pair) -> tuple[float, float]:
+def _count(value, where: str, least: int = 1) -> None:
+    """ArgumentError naming `where` unless value is an int, not a bool, and
+    at least `least`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ArgumentError(f"{where} must be an integer, got {value!r}")
+    if value < least:
+        raise ArgumentError(f"{where} must be >= {least}, got {value!r}")
+
+
+def _number(value, where: str, low=0.0, high=math.inf, *, positive=False) -> float:
+    """value as a float when it is a real number, not a bool or a str, that
+    is finite, at least low (above 0 in place of that when positive) and at
+    most high; ArgumentError naming `where` otherwise."""
+    x = value if type(value) is float else _real(value, where)
+    if (0.0 < x if positive else low <= x) and x <= high and math.isfinite(x):
+        return x
+    if positive:
+        need = "positive and finite"
+    elif high < math.inf:
+        need = f"in [{low:g}, {high:g}]"
+    else:
+        need = "finite" if low == -math.inf else f"finite and >= {low:g}"
+    raise ArgumentError(f"{where} must be {need}, got {value!r}")
+
+
+def _check_bound(name: str, pair, where: str) -> tuple[float, float]:
     """One coefficient's box as floats; ArgumentError unless pair holds two
     finite numbers with 0 <= lo <= hi."""
     try:
-        lo, hi = (
-            float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan
-            for v in pair
-        )
-    except (TypeError, ValueError, OverflowError):
-        lo = hi = math.nan
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
+        lo, hi = pair
+        lo = _number(lo, "lo")
+        return lo, _number(hi, "hi", lo)
+    except (TypeError, ValueError):
         raise ArgumentError(
-            f"bounds for {name} must be [lo, hi], finite numbers with 0 <= lo <= hi, got {pair!r}"
-        )
-    return lo, hi
+            f"{where}: bounds for {name} must be [lo, hi], finite numbers with 0 <= lo <= hi, got {pair!r}"
+        ) from None
+
+
+def _check_box(bounds, where: str) -> dict[str, tuple[float, float]]:
+    """A coefficient box: a mapping of each of the 13 coefficient names, and
+    no other name, to a pair that _check_bound accepts. Returns the pairs as
+    floats in PARAM_FIELDS order; `where` names the box in errors."""
+    if not isinstance(bounds, Mapping):
+        raise ArgumentError(f"{where} must map each coefficient name to [lo, hi], got {bounds!r}")
+    for name in bounds:
+        if name not in PARAM_FIELDS:
+            raise ArgumentError(f"{where} names unknown parameter {name!r}")
+    missing = [name for name in PARAM_FIELDS if name not in bounds]
+    if missing:
+        raise ArgumentError(f"{where} has no bounds for {', '.join(missing)}")
+    return {name: _check_bound(name, bounds[name], where) for name in PARAM_FIELDS}
 
 
 def _bounds_from_json(data, where: str) -> dict[str, tuple[float, float]]:
     """DEFAULT_PARAM_BOUNDS overlaid with a JSON object {name: [lo, hi]},
-    each pair checked by _check_bound; `where` names the source in errors."""
-    if not isinstance(data, dict):
-        raise ArgumentError(f"{where} must be a JSON object of name: [lo, hi]")
-    bounds = dict(DEFAULT_PARAM_BOUNDS)
-    for name, pair in data.items():
-        if name not in PARAM_FIELDS:
-            raise ArgumentError(f"{where} names unknown parameter {name!r}")
-        bounds[name] = _check_bound(name, pair)
-    return bounds
+    checked by _check_box; `where` names the source in errors."""
+    return _check_box({**DEFAULT_PARAM_BOUNDS, **data} if isinstance(data, dict) else data, where)
 
 
 def _exp(x: float) -> float:
@@ -352,17 +382,12 @@ def _rk4_run(
     return g, c, m, cost, clamps
 
 
-def _check_dt(dt: float) -> None:
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0.0):
-        raise ArgumentError(f"dt must be a positive finite number, got {dt!r}")
-
-
 def step_rk4(state: SystemState, p: ModelParameters, dt: float) -> SystemState:
     """One classical RK4 step; components clamped at zero afterwards.
 
     Raises NumericalError (step_index 0) when the step is not finite.
     """
-    _check_dt(dt)
+    _number(dt, "dt", positive=True)
     g, c, m, _, _ = _rk4_run(p, state.t, state.g, state.c, state.m, dt, 1)
     return SystemState(t=state.t + dt, g=g, c=c, m=m)
 
@@ -383,10 +408,13 @@ def _integrate_raw(
 
 
 def _step_count(horizon: float, dt: float) -> int:
-    # ceil with a relative guard so horizons that are exact multiples of dt
-    # do not gain a spurious extra step from float division.
-    steps = math.ceil(horizon / dt - 1e-9)
-    return max(steps, 1)
+    """ceil(horizon / dt), at least 1; ArgumentError above MAX_STEPS."""
+    # the relative guard keeps a horizon that is an exact multiple of dt
+    # from gaining a spurious extra step from float division
+    ratio = horizon / dt - 1e-9
+    if not ratio <= MAX_STEPS:
+        raise ArgumentError(f"horizon/dt requires {ratio:.4g} steps; limit is {MAX_STEPS}")
+    return max(math.ceil(ratio), 1)
 
 
 def integrate(
@@ -400,12 +428,9 @@ def integrate(
     Produces ceil(horizon/dt) + 1 samples, the first being the initial
     state; every sample carries the feedback level of its state.
     """
-    _check_dt(dt)
-    if not (math.isfinite(horizon) and horizon >= dt):
-        raise ArgumentError(f"horizon must satisfy horizon >= dt, got {horizon!r}")
+    _number(dt, "dt", positive=True)
+    _number(horizon, "horizon", dt)
     steps = _step_count(horizon, dt)
-    if steps > MAX_STEPS:
-        raise ArgumentError(f"horizon/dt requires {steps} steps; limit is {MAX_STEPS}")
 
     t0 = initial.t
     raw, clamps = _integrate_raw(t0, initial.g, initial.c, initial.m, p, steps, dt)
@@ -429,9 +454,8 @@ def advance(
     where compliance_cost is the left-endpoint quadrature of the damping
     term beta2 * c / (1 + gamma1 * m) over the interval.
     """
-    _check_dt(dt)
-    if not (isinstance(substeps, int) and substeps >= 1):
-        raise ArgumentError(f"substeps must be a positive integer, got {substeps!r}")
+    _number(dt, "dt", positive=True)
+    _count(substeps, "substeps")
     g, c, m, cost, clamps = _rk4_run(p, state.t, state.g, state.c, state.m, dt / substeps, substeps)
     return SystemState(state.t + dt, g, c, m), _feedback(p, c, m), cost, clamps
 

@@ -146,7 +146,7 @@ def _encoder(cls):
     table = _fields(cls)
     if table[0][1].metadata.get("inline"):
         name = table[0][1].name
-        return lambda obj: getattr(obj, name)
+        return lambda obj: dict(getattr(obj, name))
     renamed = {f.name: key for key, f, _ in table if key != f.name}
     if renamed:
         return lambda obj: {renamed.get(k, k): v for k, v in vars(obj).items()}

@@ -17,7 +17,6 @@ mean feedback, kept for analysis).
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -41,7 +40,10 @@ from .dynamics import (
     ModelParameters,
     SystemState,
     _bounds_from_json,
+    _check_box,
+    _count,
     _fmt,
+    _number,
     _real,
     _write_text,
     advance,
@@ -88,18 +90,14 @@ class SimulationConfig:
     llm_concurrency: int = 4
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.total_steps, int) and self.total_steps >= 1):
-            raise ArgumentError(f"total_steps must be >= 1, got {self.total_steps!r}")
-        if not (isinstance(self.inner_substeps, int) and self.inner_substeps >= 1):
-            raise ArgumentError(f"inner_substeps must be >= 1, got {self.inner_substeps!r}")
-        if not (math.isfinite(self.dt_per_step) and self.dt_per_step > 0.0):
-            raise ArgumentError(f"dt_per_step must be positive, got {self.dt_per_step!r}")
+        _count(self.total_steps, "total_steps")
+        _count(self.inner_substeps, "inner_substeps")
+        _number(self.dt_per_step, "dt_per_step", positive=True)
+        _check_box(self.param_bounds, "param_bounds")
         if self.policy_kind not in POLICY_KINDS:
             raise ArgumentError(f"policy_kind must be one of {POLICY_KINDS}, got {self.policy_kind!r}")
-        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
-            raise ArgumentError(f"max_step must be positive, got {self.max_step!r}")
-        if not (isinstance(self.llm_concurrency, int) and self.llm_concurrency >= 1):
-            raise ArgumentError(f"llm_concurrency must be >= 1, got {self.llm_concurrency!r}")
+        _number(self.max_step, "max_step", positive=True)
+        _count(self.llm_concurrency, "llm_concurrency")
 
 
 @dataclass
@@ -149,19 +147,6 @@ def default_initial(
         state = SystemState(t=0.0, g=0.5, c=0.4 + 0.01 * i, m=0.3 + 0.02 * i)
         out[prof.id] = (params, state)
     return out
-
-
-def _check_decision(decision: AgentDecision, agent_id: str, max_step: float) -> None:
-    """The checks of a decision that depend on the run."""
-    if decision.comply and decision.submission.agent_id != agent_id:
-        raise ArgumentError(
-            f"agent {agent_id}: submission carries id {decision.submission.agent_id!r}"
-        )
-    for name, delta in decision.adjustments.deltas.items():
-        if abs(delta) > max_step + 1e-15:
-            raise ArgumentError(
-                f"agent {agent_id}: adjustment {name}={delta} exceeds max_step {max_step}"
-            )
 
 
 def _run_engine(
@@ -217,7 +202,6 @@ def _run_engine(
         agent_records: dict[str, AgentStepRecord] = {}
         for aid in ids:
             decision = decisions[aid]
-            _check_decision(decision, aid, config.max_step)
             if decision.fallback is not None:
                 llm_fallbacks += 1
             params[aid] = apply_adjustments(params[aid], decision.adjustments, config.param_bounds)
@@ -317,9 +301,11 @@ def run_scripted(
     script: Mapping[tuple[int, str], AgentDecision],
 ) -> SimulationResult:
     """Replay decisions from a script keyed by (step, agent_id). Every key
-    must name a step of the run and an agent of the roster."""
+    must name a step of the run and an agent of the roster; every decision
+    must keep its deltas within max_step and submit under its agent's id,
+    as rule and LLM decisions do by construction."""
     ids = {p.id for p in profiles}
-    for step, aid in sorted(script):
+    for (step, aid), decision in sorted(script.items()):
         if aid not in ids:
             raise ArgumentError(
                 f"script entry for step {step} names agent {aid!r}, which is not in the roster"
@@ -328,6 +314,12 @@ def run_scripted(
             raise ArgumentError(
                 f"script entry for agent {aid!r} has step {step}, outside 0-{config.total_steps - 1}"
             )
+        where = f"script entry for step {step}, agent {aid!r}"
+        if decision.comply and decision.submission.agent_id != aid:
+            raise ArgumentError(f"{where}: submission carries id {decision.submission.agent_id!r}")
+        for name, delta in decision.adjustments.deltas.items():
+            if abs(delta) > config.max_step + 1e-15:
+                raise ArgumentError(f"{where}: adjustment {name}={delta} exceeds max_step {config.max_step}")
 
     def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
         out = {}

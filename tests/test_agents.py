@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regflow.agents import (
     DEFAULT_MAX_STEP,
@@ -265,3 +267,20 @@ class TestParseLlmReply:
         assert isinstance(d, AgentDecision)
         assert d.comply == (d.submission is not None)
         assert all(abs(v) <= DEFAULT_MAX_STEP for v in d.adjustments.deltas.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        deltas=st.dictionaries(st.sampled_from(PARAM_FIELDS), st.floats(allow_nan=False, allow_infinity=False)),
+        comply=st.booleans(),
+        max_step=st.floats(min_value=1e-9, max_value=10.0),
+        agent_id=st.text(max_size=5),
+    )
+    def test_deltas_stay_within_max_step_and_the_submission_carries_the_agent_id(
+        self, deltas, comply, max_step, agent_id
+    ):
+        # run_scripted checks a scripted decision for both; the run relies on
+        # a parsed reply meeting them by construction
+        reply = dict(self.GOOD, adjustments=deltas, comply=comply)
+        d = parse_llm_reply(json.dumps(reply), max_step=max_step, agent_id=agent_id)
+        assert all(abs(v) <= max_step for v in d.adjustments.deltas.values())
+        assert d.submission is None or d.submission.agent_id == agent_id

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from regflow import calibration
 from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.cli import main
 from regflow.corpus import build_default_corpus
@@ -819,3 +820,28 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, output, argv)
     (out / output).mkdir(parents=True)
     assert main([values.get(a, a) for a in argv] + ["--out", str(out)]) == 2
     assert f"error: cannot write {out / output}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+        (["--dt", "1e-300"], "requires 1e+300 steps; limit is 10000000"),
+    ],
+)
+def test_calibrate_refuses_a_nan_tolerance_or_a_grid_over_the_step_limit(tmp_path, capsys, monkeypatch, flags, message):
+    obs = series_file(tmp_path)
+
+    def kernel(*args):
+        raise AssertionError("the integration ran")
+
+    monkeypatch.setattr(calibration, "_integrate_raw", kernel)
+    assert main(["calibrate", "--obs", obs, *flags, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_initial_state_out_of_range_names_its_path(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial": {"state": {"g": -1}}}))
+    assert main(["simulate", "--config", str(cfg), "--steps", "1", "--out", str(tmp_path)]) == 2
+    assert "error: config.initial.state: state field g must be >= 0, got -1.0" in capsys.readouterr().err
