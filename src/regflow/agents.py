@@ -121,7 +121,7 @@ def _deltas(data, where: str) -> dict:
 
 @dataclass(frozen=True)
 class ParameterAdjustment:
-    """Per-step deltas keyed by coefficient name, held read-only; in JSON, the deltas object."""
+    """Per-step deltas by coefficient name, read-only (pickled as a dict); in JSON, the deltas object."""
 
     deltas: Mapping[str, float] = field(metadata={"inline": True, "load": _deltas})
 
@@ -130,8 +130,11 @@ class ParameterAdjustment:
         for name, delta in self.deltas.items():
             if name not in PARAM_FIELDS:
                 raise ArgumentError(f"unknown parameter name {name!r}")
-            if not math.isfinite(delta):
+            if not math.isfinite(delta if type(delta) is float else _real(delta, f"delta for {name}")):
                 raise ArgumentError(f"delta for {name} is not finite: {delta!r}")
+
+    def __reduce__(self):
+        return (ParameterAdjustment, (dict(self.deltas),))
 
 
 @dataclass(frozen=True)

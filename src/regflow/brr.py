@@ -14,6 +14,7 @@ with the market instead of reacting to any single submission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,11 +34,9 @@ SCORE_FIELDS = ("safety", "effectiveness", "compliance", "adverse")
 
 
 def _score(value, where: str) -> int:
-    """A score read from JSON: an integer as written; 7.0 is refused here as
-    Submission itself refuses it."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ArgumentError(f"{where} must be an integer, got {value!r}")
+    """A score read from JSON, an int as written (7.0 is refused); Submission checks the range."""
+    _count(value, where, -math.inf)
+    return value
 
 
 _SCORE = {"load": _score}

@@ -78,9 +78,10 @@ class InitialState:
     g: float = DEFAULT_INITIAL_STATE.g
     c: float = DEFAULT_INITIAL_STATE.c
     m: float = DEFAULT_INITIAL_STATE.m
+    system_state: SystemState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        SystemState(0.0, self.g, self.c, self.m)
+        object.__setattr__(self, "system_state", SystemState(0.0, self.g, self.c, self.m))
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if start.state is None:
         initial = default_initial(profiles, start.params)
     else:
-        state = SystemState(t=0.0, **vars(start.state))
-        initial = {p.id: (start.params, state) for p in profiles}
+        initial = {p.id: (start.params, start.state.system_state) for p in profiles}
 
     if config.policy_kind == "scripted":
         script_file = args.script or manifest.script_file

@@ -60,11 +60,11 @@ def read_json(path):
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(json key, field, type hint) for each field of a dataclass; the hints
-    are resolved on first use, not at import."""
+    """(json key, field, type hint) for each field of a dataclass that its
+    constructor takes; the hints are resolved on first use, not at import."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        (f.metadata.get("json", f.name), f, hints[f.name]) for f in dataclasses.fields(cls)
+        (f.metadata.get("json", f.name), f, hints[f.name]) for f in dataclasses.fields(cls) if f.init
     )
 
 

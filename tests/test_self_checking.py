@@ -96,9 +96,10 @@ def test_parameter_adjustment_rejects_an_unknown_name(name):
 
 
 @settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(PARAM_FIELDS), delta=NON_FINITE)
+@given(name=st.sampled_from(PARAM_FIELDS), delta=st.one_of(NON_FINITE, st.sampled_from([True, "x"])))
 def test_parameter_adjustment_rejects_a_non_finite_delta(name, delta):
-    rejects(ArgumentError, f"delta for {name} is not finite", ParameterAdjustment({}), {"deltas": {name: delta}})
+    need = "is not finite" if type(delta) is float else "must be a number"
+    rejects(ArgumentError, f"delta for {name} {need}", ParameterAdjustment({}), {"deltas": {name: delta}})
 
 
 def test_parameter_adjustment_deltas_are_read_only():
@@ -147,7 +148,8 @@ def test_threshold_config_needs_floor_base_ceiling_in_order():
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(["strict_steps", "lenient_steps"]), value=NOT_A_COUNT)
 def test_schedule_rejects_a_count_below_one(name, value):
-    rejects(ArgumentError, f"schedule {name} must be ", Schedule(), {name: value})
+    need = "must be >= 1" if type(value) is int else "must be an integer"
+    rejects(ArgumentError, f"schedule {name} {need}", Schedule(), {name: value})
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,7 +172,8 @@ def test_manufacturer_profile_rejects_an_out_of_range_field(change):
     fragment = {
         "resource_tier": "unknown resource tier",
         "risk_preference": "unknown risk preference",
-        "ai_investment_fraction": "ai_investment_fraction must be ",
+        "ai_investment_fraction": "ai_investment_fraction must be "
+        + ("in [0, 1]" if type(value) is float else "a number"),
     }[name]
     rejects(ArgumentError, fragment, DEFAULT_PROFILES[0], {name: value})
 

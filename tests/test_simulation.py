@@ -1,6 +1,8 @@
 """Simulation loop: orchestration, auditing, determinism, replay."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -327,6 +329,12 @@ class TestSerialization:
         data = result_to_json_dict(result)
         back = result_from_json_dict(json.loads(json.dumps(data)))
         assert result_to_json_dict(back) == data
+
+    def test_result_pickles_and_deep_copies(self):
+        config = small_config(total_steps=5)
+        result = run(config, list(DEFAULT_PROFILES), default_initial(DEFAULT_PROFILES), CORPUS)
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert copy.deepcopy(result) == result
 
     def test_csv_layout(self, tmp_path):
         config = small_config(total_steps=5)
