@@ -17,14 +17,10 @@ Parameter changes proposed by any policy are bounded per step (default
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import math
 import os
-import ssl
-import urllib.error
 import urllib.parse
-import urllib.request
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -447,6 +443,9 @@ def _opener() -> urllib.request.OpenerDirector:
     also one reached by a redirect, raises URLError. Proxies come from the
     environment, read when the first request is sent; HTTPS verifies
     against the system CA store."""
+    import ssl
+    import urllib.request
+
     opener = urllib.request.OpenerDirector()
     for handler in (
         urllib.request.ProxyHandler(),
@@ -469,6 +468,9 @@ def _post_json(endpoint: str, body: bytes, headers: dict[str, str], timeout: flo
     http.client.HTTPException, another OSError, or ValueError for a URL or
     header value that cannot be sent.
     """
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(endpoint, data=body, headers=headers, method="POST")
     try:
         with _opener().open(request, timeout=timeout) as resp:
@@ -494,6 +496,8 @@ def llm_policy_decide(
     the rule policy, with the failure category recorded in the rationale
     and in the decision's fallback field.
     """
+    import http.client
+
     prompt = render_prompt(profile, regulations, state, env, max_step)
     payload = {
         "model": client_config.model,

@@ -18,9 +18,8 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dynamics import (
     DEFAULT_PARAM_BOUNDS,
@@ -96,6 +95,7 @@ class FitOptions:
         _count(self.max_iter, "max_iter")
         _number(self.tol, "tol")
         _count(self.restarts, "restarts", 0)
+        _count(self.seed, "seed", -math.inf)
 
 
 @dataclass
@@ -191,7 +191,7 @@ def _sum_squares(rows) -> tuple[float, tuple[float, float, float, float]]:
 # projected Levenberg-Marquardt
 # ---------------------------------------------------------------------------
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 # Forward-difference step relative to max(|x|, 1): sqrt(eps) balances the
 # truncation error of the difference against the rounding error of it.
 _FD_STEP = math.sqrt(_EPS)
@@ -221,6 +221,8 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
 
     Returns (x_best, f_best, iterations, converged).
     """
+    import numpy as np
+
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = resid(x)
     f = float(r @ r)
@@ -296,6 +298,8 @@ def fit(
     (13 integrations) plus its trial steps; `iterations` sums them over
     all starts run, and `converged` is the winning start's.
     """
+    import numpy as np
+
     prep = _prepare(obs, dt)
     opts = options or FitOptions()
     box = _check_box(bounds if bounds is not None else DEFAULT_PARAM_BOUNDS, "bounds")

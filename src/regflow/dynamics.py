@@ -417,6 +417,14 @@ def _step_count(horizon: float, dt: float) -> int:
     return max(math.ceil(ratio), 1)
 
 
+def _integration_steps(horizon: float, dt: float) -> int:
+    """integrate's step count; ArgumentError unless dt is positive and
+    finite and horizon is finite and at least dt."""
+    _number(dt, "dt", positive=True)
+    _number(horizon, "horizon", dt)
+    return _step_count(horizon, dt)
+
+
 def integrate(
     initial: SystemState,
     p: ModelParameters,
@@ -428,10 +436,7 @@ def integrate(
     Produces ceil(horizon/dt) + 1 samples, the first being the initial
     state; every sample carries the feedback level of its state.
     """
-    _number(dt, "dt", positive=True)
-    _number(horizon, "horizon", dt)
-    steps = _step_count(horizon, dt)
-
+    steps = _integration_steps(horizon, dt)
     t0 = initial.t
     raw, clamps = _integrate_raw(t0, initial.g, initial.c, initial.m, p, steps, dt)
     samples = [

@@ -17,6 +17,7 @@ mean feedback, kept for analysis).
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -97,6 +98,9 @@ class SimulationConfig:
         if self.policy_kind not in POLICY_KINDS:
             raise ArgumentError(f"policy_kind must be one of {POLICY_KINDS}, got {self.policy_kind!r}")
         _number(self.max_step, "max_step", positive=True)
+        _count(self.seed, "seed", -math.inf)
+        if self.llm is not None and not isinstance(self.llm, ClientConfig):
+            raise ArgumentError(f"llm must be a ClientConfig or None, got {self.llm!r}")
         _count(self.llm_concurrency, "llm_concurrency")
 
 

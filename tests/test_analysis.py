@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regflow.analysis import (
     adherence_accuracy,
@@ -17,8 +19,15 @@ from regflow.analysis import (
     welch_anova,
     write_sweep_csv,
 )
-from regflow.dynamics import DEFAULT_PARAMETERS, ModelParameters, SystemState
-from regflow.errors import ArgumentError
+from regflow.dynamics import (
+    DEFAULT_PARAM_BOUNDS,
+    DEFAULT_PARAMETERS,
+    PARAM_FIELDS,
+    ModelParameters,
+    SystemState,
+    integrate,
+)
+from regflow.errors import ArgumentError, DomainError, NumericalError
 
 
 class TestAdherenceAccuracy:
@@ -274,6 +283,14 @@ class TestSweep:
         result = sweep(base, SystemState(0.0, 0.0, 0.0, 0.0), 2.0, 0.05, "alpha2", [0.5])
         assert math.isnan(result.change_rates["C"][0])
 
+    def test_a_terminal_time_past_the_float_range_is_refused_as_by_integrate(self):
+        # two steps of 1e308 end at t = inf while g, c and m stay finite
+        p, start = ModelParameters(phi1=1.0), SystemState(0.0, 0.5, 0.5, 0.5)
+        with pytest.raises(DomainError, match="state field t is not finite: inf"):
+            integrate(start, p, 1.7e308, 1e308)
+        with pytest.raises(DomainError, match="state field t is not finite: inf"):
+            sweep(p, start, 1.7e308, 1e308, "alpha1", [0.5])
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ArgumentError):
             sweep(DEFAULT_PARAMETERS, SystemState(0.0, 0.5, 0.5, 0.5), 2.0, 0.05, "delta9", [0.1])
@@ -287,3 +304,40 @@ class TestSweep:
         assert lines[0] == "parameter,value,G,C,M,F,rate_G,rate_C,rate_M,rate_F"
         assert len(lines) == 3
         assert lines[1].startswith("alpha1,0.1")
+
+
+def outcome(call):
+    """call()'s value, or the message and step of its NumericalError."""
+    try:
+        return call()
+    except NumericalError as exc:
+        return str(exc), exc.step_index
+
+
+params_st = st.builds(
+    ModelParameters, **{name: st.floats(*DEFAULT_PARAM_BOUNDS[name]) for name in PARAM_FIELDS}
+)
+component_st = st.floats(0.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=params_st,
+    initial=st.builds(SystemState, component_st, component_st, component_st, component_st),
+    dt=st.floats(0.01, 1.0),
+    multiple=st.floats(1.0, 40.0),
+    parameter=st.sampled_from(PARAM_FIELDS),
+    values=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3),
+)
+def test_sweep_outputs_are_the_terminal_samples_of_integrate(p, initial, dt, multiple, parameter, values):
+    horizon = multiple * dt
+
+    def terminals():
+        runs = [integrate(initial, q, horizon, dt) for q in [p] + [p.replace(**{parameter: v}) for v in values]]
+        return [tuple(x.hex() for x in (s.g, s.c, s.m, f)) for s, f in (run.terminal() for run in runs[1:])]
+
+    def swept():
+        result = sweep(p, initial, horizon, dt, parameter, values)
+        return [tuple(x.hex() for x in row) for row in zip(*(result.outputs[name] for name in "GCMF"))]
+
+    assert outcome(swept) == outcome(terminals)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +38,11 @@ class TestSimulateCommand:
         assert main(["simulate", "--out", str(out2), "--seed", "9"]) == 0
         assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
         assert (out1 / "trajectories.csv").read_bytes() == (out2 / "trajectories.csv").read_bytes()
+
+    def test_negative_seed_is_recorded(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--seed", "-1", "--steps", "1"]) == 0
+        assert json.loads((out / "result.json").read_text())["config"]["seed"] == -1
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -845,3 +853,52 @@ def test_config_initial_state_out_of_range_names_its_path(tmp_path, capsys):
     cfg.write_text(json.dumps({"initial": {"state": {"g": -1}}}))
     assert main(["simulate", "--config", str(cfg), "--steps", "1", "--out", str(tmp_path)]) == 2
     assert "error: config.initial.state: state field g must be >= 0, got -1.0" in capsys.readouterr().err
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+HEAVY = ("numpy", "ssl", "http.client", "urllib.request")
+
+# Runs each argv of sys.argv[1] through main() in order and prints, after
+# build_parser() and after each command, its exit code and which of the
+# HEAVY modules are loaded.
+COLD_START = f"""
+import json, sys
+import regflow.cli as cli
+cli.build_parser()
+report = [("build_parser", 0, [m for m in {HEAVY!r} if m in sys.modules])]
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    report.append((argv[0], code, [m for m in {HEAVY!r} if m in sys.modules]))
+print(json.dumps(report))
+"""
+
+
+def test_heavy_modules_load_only_in_the_commands_that_use_them(tmp_path):
+    from llm_stub import StubLLMServer
+
+    out = str(tmp_path / "run")
+    reply = json.dumps({
+        "comply": True, "adjustments": {}, "safety": 9, "effectiveness": 8,
+        "compliance": 9, "adverse": 3, "rationale": "stub",
+    })
+    with StubLLMServer(behavior="reply", reply_content=reply) as server:
+        commands = [
+            ["simulate", "--seed", "1", "--steps", "5", "--out", out],
+            ["sweep", "--parameter", "alpha1", "--values", "0.25,0.5", "--out", out],
+            ["corpus", "print"],
+            ["metrics", "--result", os.path.join(out, "result.json"), "--groups", "auto", "--out", out],
+            ["calibrate", "--obs", series_file(tmp_path), "--max-iter", "3", "--out", out],
+            ["simulate", "--policy", "llm", "--llm-endpoint", server.url, "--steps", "1", "--out", out],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        hits = server.hits
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert [code for _, code, _ in report] == [0] * 7
+    assert [loaded for _, _, loaded in report[:4]] == [[]] * 4
+    assert report[-1][2] == list(HEAVY)
+    assert hits == 10

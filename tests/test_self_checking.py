@@ -191,6 +191,11 @@ def test_simulation_config_rejects_an_out_of_range_field(change):
     rejects(ArgumentError, f"{name} must be", SimulationConfig(), {name: value})
 
 
+@pytest.mark.parametrize("llm", ["http://x", {"endpoint": "http://x"}, 1])
+def test_simulation_config_rejects_an_llm_that_is_not_a_client_config(llm):
+    rejects(ArgumentError, f"llm must be a ClientConfig or None, got {llm!r}", SimulationConfig(), {"llm": llm})
+
+
 @pytest.mark.parametrize(
     "bounds, fragment",
     [
@@ -224,6 +229,17 @@ def test_simulation_config_is_frozen(cls):
 def test_fit_options_reject_an_out_of_range_field(change):
     name, value = change
     rejects(ArgumentError, f"{name} must be", FitOptions(), {name: value})
+
+
+@settings(max_examples=30, deadline=None)
+@given(cls=st.sampled_from([SimulationConfig, FitOptions]), value=st.one_of(NOT_AN_INT, st.none()))
+def test_a_seed_must_be_an_int(cls, value):
+    rejects(ArgumentError, f"seed must be an integer, got {value!r}", cls(), {"seed": value})
+
+
+@pytest.mark.parametrize("cls", [SimulationConfig, FitOptions])
+def test_a_seed_may_be_negative(cls):
+    assert cls(seed=-1).seed == -1
 
 
 @settings(max_examples=40, deadline=None)
