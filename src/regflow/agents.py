@@ -23,6 +23,7 @@ import os
 import urllib.parse
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from types import MappingProxyType
 
 from .brr import Submission
@@ -190,6 +191,10 @@ def rule_policy_decide(
     adaptation-side ones, scaled by the resource tier; a rejected prior
     submission adds extra compliance drive. Scores follow the tier, the
     phase, AI investment, and risk appetite.
+
+    The decision reads only the profile, the regulations,
+    env.last_approved and max_step, never the state, env.threshold or
+    env.feedback; simulation.run reuses it within a run on that premise.
     """
     strictness = _check_regulations(regulations)
     strict = strictness == "strict"
@@ -235,18 +240,27 @@ def rule_policy_decide(
     )
 
 
+_param_values = attrgetter(*PARAM_FIELDS)
+_PARAM_INDEX = {name: i for i, name in enumerate(PARAM_FIELDS)}
+
+
 def apply_adjustments(
     p: ModelParameters,
     adj: ParameterAdjustment,
     bounds: dict[str, tuple[float, float]] | None = None,
 ) -> ModelParameters:
-    """Apply deltas field by field, clipping each result into its bounds."""
+    """Apply deltas field by field, clipping each result into its bounds;
+    p itself when there are no deltas."""
+    if not adj.deltas:
+        return p
     box = bounds if bounds is not None else DEFAULT_PARAM_BOUNDS
-    changes: dict[str, float] = {}
+    values = list(_param_values(p))
     for name, delta in adj.deltas.items():
         lo, hi = box[name]
-        changes[name] = min(max(getattr(p, name) + delta, lo), hi)
-    return replace(p, **changes) if changes else p
+        i = _PARAM_INDEX[name]
+        values[i] = min(max(values[i] + delta, lo), hi)
+    # one positional call: ModelParameters' own check runs, replace()'s field walk does not
+    return ModelParameters(*values)
 
 
 # ---------------------------------------------------------------------------

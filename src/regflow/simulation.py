@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -138,6 +137,8 @@ class SimulationResult:
 
 
 AgentInit = tuple[ModelParameters, SystemState]
+#: What a policy sees of one agent at a step, besides the step's regulations.
+AgentView = tuple[ManufacturerProfile, SystemState, PolicyEnv]
 
 
 def default_initial(
@@ -158,7 +159,7 @@ def _run_engine(
     profiles: list[ManufacturerProfile],
     initial: Mapping[str, AgentInit],
     corpus: list[Regulation],
-    decide_step: Callable[[int, list], dict[str, AgentDecision]],
+    decide_step: Callable[[int, list[Regulation], list[AgentView]], dict[str, AgentDecision]],
 ) -> SimulationResult:
     if not profiles:
         raise ArgumentError("at least one manufacturer profile is required")
@@ -191,16 +192,15 @@ def _run_engine(
     for t in range(config.total_steps):
         phase = active_phase(t, config.schedule)
         regs = regulations_for(t, corpus, config.schedule)
-        items = [
+        views = [
             (
                 by_id[aid],
-                regs,
                 states[aid],
                 PolicyEnv(threshold=threshold, last_approved=last_approved[aid], feedback=feedbacks[aid]),
             )
             for aid in ids
         ]
-        decisions = decide_step(t, items)
+        decisions = decide_step(t, regs, views)
 
         step_brrs: list[float] = []
         agent_records: dict[str, AgentStepRecord] = {}
@@ -269,14 +269,27 @@ def run(
     initial: Mapping[str, AgentInit],
     corpus: list[Regulation],
 ) -> SimulationResult:
-    """Run the configured policy for total_steps steps."""
-    if config.policy_kind == "rule":
+    """Run the configured policy for total_steps steps.
 
-        def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
-            return {
-                prof.id: rule_policy_decide(prof, regs, state, env, config.max_step)
-                for prof, regs, state, env in items
-            }
+    A rule decision depends only on the agent, the step's regulations and
+    the agent's previous approval (see rule_policy_decide), so the rule
+    policy decides each such triple once per run and reuses the decision.
+    """
+    if config.policy_kind == "rule":
+        # regulations -> (agent id, last approved) -> decision; the outer key
+        # is hashed once per step, not once per agent
+        memo: dict[tuple[Regulation, ...], dict[tuple[str, bool], AgentDecision]] = {}
+
+        def decide_step(t: int, regs: list[Regulation], views: list[AgentView]) -> dict[str, AgentDecision]:
+            decided = memo.setdefault(tuple(regs), {})
+            out = {}
+            for prof, state, env in views:
+                key = (prof.id, env.last_approved)
+                decision = decided.get(key)
+                if decision is None:
+                    decision = decided[key] = rule_policy_decide(prof, regs, state, env, config.max_step)
+                out[prof.id] = decision
+            return out
 
         return _run_engine(config, profiles, initial, corpus, decide_step)
     if config.policy_kind == "scripted":
@@ -284,13 +297,16 @@ def run(
     if config.llm is None:
         raise ArgumentError("policy_kind 'llm' requires config.llm client settings")
     client = config.llm
+    # imported here: the rule and scripted policies need no thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     # one pool for the whole run, shut down however the run ends
     with ThreadPoolExecutor(max_workers=max(1, min(config.llm_concurrency, len(profiles)))) as pool:
 
-        def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
+        def decide_step(t: int, regs: list[Regulation], views: list[AgentView]) -> dict[str, AgentDecision]:
             futures = {
                 prof.id: pool.submit(llm_policy_decide, prof, regs, state, env, client, config.max_step)
-                for prof, regs, state, env in items
+                for prof, state, env in views
             }
             return {aid: fut.result() for aid, fut in futures.items()}
 
@@ -325,9 +341,9 @@ def run_scripted(
             if abs(delta) > config.max_step + 1e-15:
                 raise ArgumentError(f"{where}: adjustment {name}={delta} exceeds max_step {config.max_step}")
 
-    def decide_step(t: int, items: list) -> dict[str, AgentDecision]:
+    def decide_step(t: int, regs: list[Regulation], views: list[AgentView]) -> dict[str, AgentDecision]:
         out = {}
-        for prof, _regs, _state, _env in items:
+        for prof, _state, _env in views:
             key = (t, prof.id)
             if key not in script:
                 raise ArgumentError(f"script has no decision for step {t}, agent {prof.id}")
@@ -396,15 +412,20 @@ _CHECKED_NUMBERS = ("state.g", "state.c", "state.m", "market_adaptation")
 
 def _record_columns(records) -> tuple[dict[str, list], dict[str, list], dict[str, float]]:
     """One pass over the records of a parsed result.json, checking each:
-    ArgumentError when a record's agents are not a JSON object holding
-    record 0's agents, or a state.g, state.c, state.m or market_adaptation
-    value is not a number; KeyError or TypeError for a missing or mistyped
-    record, agent entry or state. Returns each agent's g series, its c
-    series and its last market_adaptation."""
+    ArgumentError when the records are not a JSON array of objects, a
+    record's agents are not a JSON object holding record 0's agents, or a
+    state.g, state.c, state.m or market_adaptation value is not a number;
+    KeyError or TypeError for a missing or mistyped record field, agent
+    entry or state. Returns each agent's g series, its c series and its
+    last market_adaptation."""
+    if not isinstance(records, list):
+        raise ArgumentError("records must be a JSON array")
     g_cols: dict[str, list] = {}
     c_cols: dict[str, list] = {}
     raw_agents: dict = {}
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ArgumentError(f"record {i} must be a JSON object, got {rec!r}")
         raw_agents = rec["agents"]
         if not isinstance(raw_agents, dict):
             raise ArgumentError(f"record {i}: agents must be a JSON object, got {raw_agents!r}")

@@ -1,6 +1,7 @@
 """Manufacturer policies, adjustments, prompts, and reply parsing."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,35 @@ class TestRulePolicy:
         b = rule_policy_decide(profile, STRICT_REGS, STATE, ENV)
         assert a == b
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        profile=st.builds(
+            ManufacturerProfile,
+            id=st.text(min_size=1, max_size=4),
+            name=st.text(max_size=8),
+            resource_tier=st.sampled_from(("limited", "medium", "rich")),
+            risk_preference=st.sampled_from(("low", "medium", "high")),
+            ai_investment_fraction=st.floats(min_value=0.0, max_value=1.0),
+        ),
+        regs=st.sampled_from((STRICT_REGS, LENIENT_REGS, STRICT_REGS[:2], LENIENT_REGS[3:])),
+        last_approved=st.booleans(),
+        max_step=st.floats(min_value=1e-9, max_value=10.0),
+        states=st.lists(
+            st.builds(SystemState, *[st.floats(min_value=0.0, max_value=1e9)] * 4), min_size=2, max_size=2
+        ),
+        thresholds=st.lists(st.floats(), min_size=2, max_size=2),
+        feedbacks=st.lists(st.floats(), min_size=2, max_size=2),
+    )
+    def test_reads_neither_state_nor_threshold_nor_feedback(
+        self, profile, regs, last_approved, max_step, states, thresholds, feedbacks
+    ):
+        # simulation.run reuses a rule decision on this premise
+        a, b = (
+            rule_policy_decide(profile, regs, state, PolicyEnv(threshold, last_approved, feedback), max_step)
+            for state, threshold, feedback in zip(states, thresholds, feedbacks)
+        )
+        assert a == b
+
     def test_scores_always_in_range(self):
         for profile in DEFAULT_PROFILES:
             for regs in (STRICT_REGS, LENIENT_REGS):
@@ -150,6 +180,34 @@ class TestApplyAdjustments:
     def test_unknown_field_rejected(self):
         with pytest.raises(ArgumentError):
             apply_adjustments(ModelParameters(), ParameterAdjustment({"alpha9": 0.1}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=13, max_size=13),
+        deltas=st.dictionaries(
+            st.sampled_from(PARAM_FIELDS),
+            st.floats(min_value=-2.0, max_value=2.0) | st.integers(min_value=-2, max_value=2),
+        ),
+        boxes=st.none() | st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=2, max_size=2).map(sorted),
+            min_size=13,
+            max_size=13,
+        ),
+    )
+    def test_equals_replace_with_the_clipped_values_bit_for_bit(self, values, deltas, boxes):
+        p = ModelParameters(*values)
+        bounds = None if boxes is None else dict(zip(PARAM_FIELDS, map(tuple, boxes)))
+        out = apply_adjustments(p, ParameterAdjustment(deltas), bounds)
+        if not deltas:
+            assert out is p
+            return
+        box = DEFAULT_PARAM_BOUNDS if bounds is None else bounds
+        expected = replace(
+            p, **{name: min(max(getattr(p, name) + d, box[name][0]), box[name][1]) for name, d in deltas.items()}
+        )
+        assert [(type(v), v.hex()) for v in vars(out).values()] == [
+            (type(v), v.hex()) for v in vars(expected).values()
+        ]
 
 
 class TestRenderPrompt:

@@ -472,6 +472,8 @@ class TestMetricsCommand:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
+            (lambda d: d.update(records={"0": d["records"][0]}), "records must be a JSON array"),
+            (lambda d: d["records"].insert(0, 1), "record 0 must be a JSON object, got 1"),
             (lambda d: d["records"][0].update(agents=[]), "record 0: agents must be a JSON object"),
             (lambda d: d["records"][2]["agents"].pop("B"), "record 2: agents"),
             (lambda d: d["records"][1]["agents"]["A"]["state"].update(c="x"), "record 1, agent A: state.c"),
@@ -856,7 +858,7 @@ def test_config_initial_state_out_of_range_names_its_path(tmp_path, capsys):
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-HEAVY = ("numpy", "ssl", "http.client", "urllib.request")
+HEAVY = ("numpy", "ssl", "http.client", "urllib.request", "concurrent.futures")
 
 # Runs each argv of sys.argv[1] through main() in order and prints, after
 # build_parser() and after each command, its exit code and which of the
@@ -900,5 +902,7 @@ def test_heavy_modules_load_only_in_the_commands_that_use_them(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert [code for _, code, _ in report] == [0] * 7
     assert [loaded for _, _, loaded in report[:4]] == [[]] * 4
+    # only the llm policy builds a thread pool
+    assert "concurrent.futures" not in report[-2][2]
     assert report[-1][2] == list(HEAVY)
     assert hits == 10

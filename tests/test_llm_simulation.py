@@ -1,5 +1,6 @@
 """End-to-end llm-policy simulation runs against the local stub."""
 
+import concurrent.futures
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -98,7 +99,8 @@ def test_llm_run_counts_fallbacks_on_garbage():
 
 @pytest.fixture()
 def pools(monkeypatch):
-    """Every ThreadPoolExecutor that simulation builds, in order."""
+    """Every ThreadPoolExecutor that simulation builds, in order; run
+    imports the class from concurrent.futures when an llm run starts."""
     built = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -111,7 +113,7 @@ def pools(monkeypatch):
             self.shut_down = True
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     return built
 
 

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+import regflow.simulation as simulation
 from regflow.agents import (
     AgentDecision,
     ClientConfig,
@@ -91,6 +92,41 @@ class TestRun:
         ja = json.dumps(result_to_json_dict(a), sort_keys=True)
         jb = json.dumps(result_to_json_dict(b), sort_keys=True)
         assert ja == jb
+
+    def test_reused_rule_decisions_match_deciding_afresh(self, tmp_path, monkeypatch):
+        profiles = list(DEFAULT_PROFILES)
+        config = small_config(total_steps=40)
+        initial = default_initial(profiles)
+        calls = []
+        decide = simulation.rule_policy_decide
+        monkeypatch.setattr(
+            simulation, "rule_policy_decide", lambda prof, *rest: calls.append(prof.id) or decide(prof, *rest)
+        )
+        reused = run(config, profiles, initial, CORPUS)
+        monkeypatch.undo()
+
+        def afresh(t, regs, views):
+            return {prof.id: decide(prof, regs, state, env, config.max_step) for prof, state, env in views}
+
+        reference = simulation._run_engine(config, profiles, initial, CORPUS, afresh)
+
+        # every (phase, previous approval) pair occurs, and each (agent,
+        # phase, previous approval) triple is decided once
+        keys = set()
+        previous = {p.id: True for p in profiles}
+        for rec in reference.records:
+            for aid, ar in rec.agents.items():
+                keys.add((aid, rec.phase, previous[aid]))
+                if ar.approved is not None:
+                    previous[aid] = ar.approved
+        assert {key[1:] for key in keys} == {(phase, ok) for phase in ("strict", "lenient") for ok in (True, False)}
+        assert len(calls) == len(keys) < len(profiles) * config.total_steps
+
+        assert result_to_json_dict(reused) == result_to_json_dict(reference)
+        for write, name in ((write_result_json, "result.json"), (write_result_csv, "trajectories.csv")):
+            write(reused, tmp_path / f"reused-{name}")
+            write(reference, tmp_path / f"reference-{name}")
+            assert (tmp_path / f"reused-{name}").read_bytes() == (tmp_path / f"reference-{name}").read_bytes()
 
     def test_profile_order_does_not_change_values(self):
         config = SimulationConfig(seed=5)

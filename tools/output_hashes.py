@@ -1,0 +1,132 @@
+"""The sha256 of every output of a fixed set of regflow commands.
+
+    python3 tools/output_hashes.py [--root CHECKOUT] > hashes.json
+    python3 tools/output_hashes.py --diff BASE.json HEAD.json
+
+The first form runs, with the package from CHECKOUT/src (default: this
+checkout), the CLI's default commands at seed 1 and one round of each of
+the simulate_rk4, simulate_audit and fit_sweep benchmark workloads at seed
+1, and prints {output: sha256} as sorted JSON. The default commands are
+`simulate --seed 1`, `metrics --groups auto` on its result, `sweep`,
+`corpus print`, and `calibrate` on a noise-free series that the package
+writes first (its obs.csv is hashed too). The workload inputs come from
+this checkout's bench/workloads.build, whichever checkout runs them, so
+two checkouts are compared on the same inputs. simulate_llm is left out:
+it needs the benchmark's chat-completions stub running.
+
+The second form exits 1 when an output's hash differs between two such
+files, or is missing from one, unless the output is listed, one name a
+line, in tools/expected_changes.txt.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+EXPECTED = os.path.join(HERE, "expected_changes.txt")
+
+WORKLOADS = ("simulate_rk4", "simulate_audit", "fit_sweep")
+SEED = 1
+
+CLI = "import sys; from regflow.cli import main; sys.exit(main(sys.argv[1:]))"
+# the series of the CI bare-install check
+OBS = """
+from regflow.calibration import generate_synthetic, write_series_csv
+from regflow.dynamics import DEFAULT_PARAMETERS, SystemState
+truth = DEFAULT_PARAMETERS.replace(alpha1=0.6, beta2=0.3, phi4=0.9)
+write_series_csv(generate_synthetic(truth, SystemState(0.0, 0.4, 0.3, 0.2), 3.0, 0.05, 2, 0.0, 0), "default/obs.csv")
+"""
+DEFAULT_COMMANDS = (
+    ["simulate", "--seed", "1", "--out", "default"],
+    ["metrics", "--result", "default/result.json", "--groups", "auto", "--out", "default"],
+    ["sweep", "--parameter", "alpha1", "--values", "0.25,0.5,1", "--out", "default"],
+    ["calibrate", "--obs", "default/obs.csv", "--max-iter", "50", "--out", "default"],
+)
+DEFAULT_OUTPUTS = (
+    "obs.csv", "result.json", "trajectories.csv", "metrics.json", "sweep.csv", "fit.json", "corpus.json",
+)
+
+
+def _python(root: str, args: list[str], stdout=subprocess.DEVNULL) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{args[2:] or 'writing obs.csv'} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def output_hashes(root: str) -> dict[str, str]:
+    """Run every command with root's package, in a fresh directory whose
+    paths are all relative, and hash what each writes."""
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    sys.path.insert(0, os.path.join(REPO, "bench"))
+    import workloads
+
+    hashes = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            os.makedirs("default")
+            _python(root, ["-c", OBS])
+            for argv in DEFAULT_COMMANDS:
+                _python(root, ["-c", CLI, *argv])
+            with open("default/corpus.json", "w", encoding="utf-8") as fh:
+                _python(root, ["-c", CLI, "corpus", "print"], stdout=fh)
+            for name in DEFAULT_OUTPUTS:
+                hashes[f"default/{name}"] = _sha256(f"default/{name}")
+            for name in WORKLOADS:
+                plan = workloads.build(name, SEED, name, None, 1)
+                for cmd in plan["commands"]:
+                    _python(root, ["-c", CLI, *cmd["argv"]])
+                    for path in cmd["outputs"]:
+                        hashes[path.replace(os.sep, "/")] = _sha256(path)
+        finally:
+            os.chdir(cwd)
+    return hashes
+
+
+def diff(base_path: str, head_path: str) -> int:
+    """1 when an output not listed in EXPECTED changed, else 0."""
+    with open(base_path, encoding="utf-8") as fh:
+        base = json.load(fh)
+    with open(head_path, encoding="utf-8") as fh:
+        head = json.load(fh)
+    with open(EXPECTED, encoding="utf-8") as fh:
+        expected = {line.strip() for line in fh if line.strip()}
+    changed = sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
+    for name in changed:
+        print(f"{name}: {base.get(name)} -> {head.get(name)}{' (expected)' if name in expected else ''}")
+    unexpected = [name for name in changed if name not in expected]
+    if unexpected:
+        print(f"{len(unexpected)} output(s) changed; list each intended change in tools/expected_changes.txt")
+        return 1
+    print(f"{len(base.keys() | head.keys())} outputs compared; {len(changed)} changed, each one listed")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=REPO, help="checkout whose src/ runs the commands")
+    parser.add_argument("--diff", nargs=2, metavar=("BASE", "HEAD"), help="compare two hash files")
+    args = parser.parse_args()
+    if args.diff:
+        return diff(*args.diff)
+    print(json.dumps(output_hashes(os.path.abspath(args.root)), indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
