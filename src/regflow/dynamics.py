@@ -474,12 +474,16 @@ def _fmt(x: float) -> str:
 
 
 def _write_text(path, pieces) -> None:
-    """Write an iterable of text pieces to path as UTF-8 with "\n" line
-    ends; ArgumentError naming the path when it cannot be written, for
-    example when it is a directory."""
+    """Write text to path as UTF-8 with "\n" line ends: an iterable of text
+    pieces, or a function that writes its text through the write function
+    it is given. ArgumentError naming the path when it cannot be written,
+    for example when it is a directory."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(pieces)
+            if callable(pieces):
+                pieces(fh.write)
+            else:
+                fh.writelines(pieces)
     except OSError as exc:
         raise ArgumentError(f"cannot write {path}: {exc}") from None
 

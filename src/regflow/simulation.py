@@ -50,7 +50,7 @@ from .dynamics import (
     eval_feedback,
 )
 from .errors import ArgumentError, NumericalError
-from .schema import from_json, json_default
+from .schema import compact_json, from_json
 
 __all__ = [
     "SimulationConfig",
@@ -403,8 +403,10 @@ def _config_from_dict(data) -> SimulationConfig:
 
 
 def result_to_json_dict(result: SimulationResult) -> dict:
-    """The content of result.json as plain dicts and lists."""
-    return json.loads(json.dumps(result, default=json_default))
+    """The content of result.json as plain dicts and lists, keys sorted."""
+    parts: list[str] = []
+    compact_json(result, parts.append)
+    return json.loads("".join(parts))
 
 
 _CHECKED_NUMBERS = ("state.g", "state.c", "state.m", "market_adaptation")
@@ -490,27 +492,42 @@ def result_from_json_dict(data: dict) -> SimulationResult:
 
 
 def write_result_json(result: SimulationResult, path) -> None:
-    """Compact sorted JSON plus a newline. The newline is a second piece:
-    appending it to the text would copy the whole document once more."""
-    text = json.dumps(result, default=json_default, sort_keys=True, separators=(",", ":"))
-    _write_text(path, (text, "\n"))
+    """Compact sorted JSON plus a newline, the text of schema.compact_json,
+    written in chunks as it is encoded."""
+
+    def fill(write):
+        compact_json(result, write)
+        write("\n")
+
+    _write_text(path, fill)
 
 
 def write_result_csv(result: SimulationResult, path) -> None:
     """Per-agent trajectory rows: step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation."""
+    # M and adaptation are one value and a step's ratios repeat across agents:
+    # each nonzero one is formatted once. -0.0 == 0.0, so zeros are not kept.
+    texts: dict[float, str] = {}
+
+    def fmt(x: float) -> str:
+        text = texts.get(x)
+        if text is None:
+            text = _fmt(x)
+            if x:
+                texts[x] = text
+        return text
 
     def rows():
         yield "step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation\n"
         for rec in result.records:
+            threshold = _fmt(rec.threshold)
             for aid in sorted(rec.agents):
                 ar = rec.agents[aid]
-                brr = "" if ar.brr is None else _fmt(ar.brr)
+                brr = "" if ar.brr is None else fmt(ar.brr)
                 approved = "" if ar.approved is None else ("true" if ar.approved else "false")
                 yield (
                     f"{rec.step},{aid},{_fmt(ar.state.g)},{_fmt(ar.state.c)},"
-                    f"{_fmt(ar.state.m)},{_fmt(ar.f)},{brr},{approved},"
-                    f"{_fmt(rec.threshold)},{_fmt(ar.compliance_cost)},"
-                    f"{_fmt(ar.market_adaptation)}\n"
+                    f"{fmt(ar.state.m)},{_fmt(ar.f)},{brr},{approved},"
+                    f"{threshold},{_fmt(ar.compliance_cost)},{fmt(ar.market_adaptation)}\n"
                 )
 
     _write_text(path, rows())

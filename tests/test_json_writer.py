@@ -1,8 +1,10 @@
 """The JSON outputs: result.json is compact sorted JSON plus a newline, and
 fit.json and metrics.json are json.dumps(obj, sort_keys=True, indent=2)
 plus a newline. Every output is the text json.dumps gives for its own
-parsed content, and a rerun writes the same bytes."""
+parsed content, and a rerun writes the same bytes. result.json is written by
+schema.compact_json, which must give exactly json.dumps's compact text."""
 
+import gc
 import json
 import math
 
@@ -17,6 +19,7 @@ from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.cli import _write_json, main
 from regflow.corpus import build_default_corpus
 from regflow.dynamics import DEFAULT_PARAMETERS, SystemState
+from regflow.schema import compact_json, json_default
 from regflow.simulation import (
     SimulationConfig,
     default_initial,
@@ -35,7 +38,13 @@ def reference(obj) -> str:
 
 
 def compact(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, default=json_default, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def compact_text(obj) -> str:
+    parts = []
+    compact_json(obj, parts.append)
+    return "".join(parts) + "\n"
 
 
 awkward_text = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "naïve", " ", "\U0001f600", '"\\/\n\t'])
@@ -56,6 +65,17 @@ trees = st.recursive(
     ),
     max_leaves=40,
 )
+
+
+UNSUPPORTED = [
+    {1, 2},
+    np.int64(3),
+    np.array([1.0, 2.0]),
+    {(1, 2): "tuple key"},
+    [object()],
+    {"deep": [{"set": frozenset()}]},
+]
+SHARED = Submission("A", 7, 6, 8, 3, regulation_ids=("R1",), narrative="n\u00e9")
 
 
 @pytest.fixture(scope="module")
@@ -88,17 +108,7 @@ class TestEncoderMatchesJson:
         tree = {"outer": {key: [1]}}
         assert self.written(tree, tmp_path / "out.json") == reference(tree)
 
-    @pytest.mark.parametrize(
-        "value",
-        [
-            {1, 2},
-            np.int64(3),
-            np.array([1.0, 2.0]),
-            {(1, 2): "tuple key"},
-            [object()],
-            {"deep": [{"set": frozenset()}]},
-        ],
-    )
+    @pytest.mark.parametrize("value", UNSUPPORTED)
     def test_unsupported_values_raise_type_error(self, tmp_path, value):
         # the text is built before the file is opened: a value JSON cannot
         # hold leaves an earlier output whole
@@ -107,6 +117,47 @@ class TestEncoderMatchesJson:
         with pytest.raises(TypeError):
             _write_json(value, path)
         assert path.read_text() == "earlier\n"
+
+
+class TestCompactJson:
+    """schema.compact_json, the encoder of result.json: its text is that of
+    json.dumps(obj, default=json_default, sort_keys=True, separators=(",", ":"))."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=trees)
+    @example(tree=[0.0, -0.0, {"a": -0.0, "b": 0.0}, np.float64(-0.0), 0.0])
+    @example(tree=[-0.0, 0.0, 1.5, np.float64(1.5), 1.5, -1.5])
+    @example(tree=[SHARED, {"again": SHARED}, (SHARED,)])
+    @example(tree={"a": math.nan, "b": math.inf, "c": -math.inf, "d": [math.nan, -math.inf]})
+    @example(tree=[(1, True, 0, False, (None,)), 2**100, -(2**90), 1.0, 1])
+    def test_equals_json_dumps(self, tree):
+        assert compact_text(tree) == compact(tree)
+
+    def test_subclasses_are_written_as_their_json_type(self):
+        class Text(str):
+            def __str__(self):
+                return "other"
+
+        class Count(int):
+            def __repr__(self):
+                return "other"
+
+        tree = {"s": Text("x"), "n": Count(5), "f": np.float64(0.1), "l": [Text("y")]}
+        assert compact_text(tree) == compact(tree) == '{"f":0.1,"l":["y"],"n":5,"s":"x"}\n'
+
+    @pytest.mark.parametrize("value", UNSUPPORTED)
+    def test_unsupported_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            compact_json(value, lambda text: None)
+
+    def test_chunks_break_at_list_elements(self):
+        tree = {"rows": [[float(i), "x", i] for i in range(3000)]}
+        parts = []
+        compact_json(tree, parts.append)
+        assert len(parts) > 1
+        # each chunk after the first starts where a list element ends
+        assert all(part[0] in ",]" for part in parts[1:])
+        assert "".join(parts) + "\n" == compact(tree)
 
 
 def small_config(**overrides):
@@ -173,6 +224,55 @@ class TestResultFiles:
             first, second = (run(config, profiles, default_initial(profiles), CORPUS) for _ in range(2))
         assert first.llm_fallbacks == 6
         assert_result_bytes(first, second, tmp_path)
+
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        """A float memo that caches zeros would write one agent's -0.0 as the
+        other's 0.0: -0.0 == 0.0 and both hash alike."""
+        profiles = list(DEFAULT_PROFILES)[:2]
+        initial = {
+            profiles[0].id: (DEFAULT_PARAMETERS.replace(gamma1=0.0), SystemState(0.0, 0.5, 0.4, 0.3)),
+            profiles[1].id: (DEFAULT_PARAMETERS.replace(gamma1=-0.0), SystemState(0.0, 0.5, 0.41, 0.32)),
+        }
+        result = run(small_config(), profiles, initial, CORPUS)
+        write_result_json(result, tmp_path / "result.json")
+        raw = (tmp_path / "result.json").read_bytes()
+        assert raw == compact(result).encode("ascii")
+        assert b'"gamma1":-0.0' in raw and b'"gamma1":0.0' in raw
+
+    def test_no_cyclic_garbage(self, tmp_path):
+        profiles = list(DEFAULT_PROFILES)
+        result = run(small_config(), profiles, default_initial(profiles), CORPUS)
+        gc.collect()
+        gc.disable()
+        try:
+            write_result_json(result, tmp_path / "result.json")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_shared_decisions_write_the_bytes_of_fresh_ones(self, tmp_path):
+        profiles = list(DEFAULT_PROFILES)[:3]
+
+        def decision(aid):
+            return AgentDecision(
+                comply=True,
+                adjustments=ParameterAdjustment(deltas={"alpha1": 0.01, "phi2": -0.0}),
+                submission=Submission(aid, 7, 6, 8, 3, regulation_ids=("R1", "R2")),
+                rationale="same \u00e9",
+                warnings=("w",),
+            )
+
+        shared = {p.id: decision(p.id) for p in profiles}
+        config = small_config(policy_kind="scripted")
+        results = [
+            run_scripted(config, profiles, default_initial(profiles), CORPUS, script)
+            for script in (
+                {(t, p.id): shared[p.id] for t in range(6) for p in profiles},
+                {(t, p.id): decision(p.id) for t in range(6) for p in profiles},
+            )
+        ]
+        assert results[0].records[5].agents[profiles[0].id].decision is shared[profiles[0].id]
+        assert_result_bytes(*results, tmp_path)
 
 
 class TestCliFiles:

@@ -5,14 +5,16 @@
 
 The first form runs, with the package from CHECKOUT/src (default: this
 checkout), the CLI's default commands at seed 1 and one round of each of
-the simulate_rk4, simulate_audit and fit_sweep benchmark workloads at seed
-1, and prints {output: sha256} as sorted JSON. The default commands are
+the four benchmark workloads at seed 1, and prints {output: sha256} as
+sorted JSON. The default commands are
 `simulate --seed 1`, `metrics --groups auto` on its result, `sweep`,
 `corpus print`, and `calibrate` on a noise-free series that the package
 writes first (its obs.csv is hashed too). The workload inputs come from
 this checkout's bench/workloads.build, whichever checkout runs them, so
-two checkouts are compared on the same inputs. simulate_llm is left out:
-it needs the benchmark's chat-completions stub running.
+two checkouts are compared on the same inputs. simulate_llm runs against
+this checkout's bench/stub.py, started as a child process on an ephemeral
+port; its endpoint URL is replaced by a fixed placeholder in every output
+before hashing.
 
 The second form exits 1 when an output's hash differs between two such
 files, or is missing from one, unless the output is listed, one name a
@@ -33,8 +35,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 EXPECTED = os.path.join(HERE, "expected_changes.txt")
 
-WORKLOADS = ("simulate_rk4", "simulate_audit", "fit_sweep")
+WORKLOADS = ("simulate_rk4", "simulate_audit", "simulate_llm", "fit_sweep")
 SEED = 1
+ENDPOINT_PLACEHOLDER = b"http://stub/v1/chat/completions"
 
 CLI = "import sys; from regflow.cli import main; sys.exit(main(sys.argv[1:]))"
 # the series of the CI bare-install check
@@ -62,9 +65,36 @@ def _python(root: str, args: list[str], stdout=subprocess.DEVNULL) -> None:
         raise SystemExit(f"{args[2:] or 'writing obs.csv'} exited {proc.returncode}:\n{proc.stderr}")
 
 
-def _sha256(path: str) -> str:
+def _sha256(path: str, endpoint: str | None = None) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    if endpoint is not None:
+        data = data.replace(endpoint.encode(), ENDPOINT_PLACEHOLDER)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _start_stub() -> tuple[subprocess.Popen, str]:
+    """bench/stub.py as a child process, and its chat-completions endpoint."""
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(REPO, "bench", "stub.py")],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        port = int(proc.stdout.readline())
+    except ValueError:
+        _stop(proc)
+        raise SystemExit("bench/stub.py did not print its port")
+    return proc, f"http://127.0.0.1:{port}/v1/chat/completions"
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    proc.terminate()
+    try:
+        proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
 
 
 def output_hashes(root: str) -> dict[str, str]:
@@ -76,6 +106,7 @@ def output_hashes(root: str) -> dict[str, str]:
 
     hashes = {}
     cwd = os.getcwd()
+    stub = None
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
@@ -87,13 +118,17 @@ def output_hashes(root: str) -> dict[str, str]:
                 _python(root, ["-c", CLI, "corpus", "print"], stdout=fh)
             for name in DEFAULT_OUTPUTS:
                 hashes[f"default/{name}"] = _sha256(f"default/{name}")
+            stub, endpoint = _start_stub()
             for name in WORKLOADS:
-                plan = workloads.build(name, SEED, name, None, 1)
+                llm = endpoint if name == "simulate_llm" else None
+                plan = workloads.build(name, SEED, name, llm, 1)
                 for cmd in plan["commands"]:
                     _python(root, ["-c", CLI, *cmd["argv"]])
                     for path in cmd["outputs"]:
-                        hashes[path.replace(os.sep, "/")] = _sha256(path)
+                        hashes[path.replace(os.sep, "/")] = _sha256(path, llm)
         finally:
+            if stub is not None:
+                _stop(stub)
             os.chdir(cwd)
     return hashes
 
