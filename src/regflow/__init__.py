@@ -25,11 +25,8 @@ from .dynamics import (
     SystemState,
     Trajectory,
     advance,
-    eval_derivatives,
     eval_feedback,
     integrate,
-    step_rk4,
-    write_trajectory_csv,
 )
 from .calibration import (
     FitOptions,

@@ -53,7 +53,6 @@ __all__ = [
     "welch_anova",
     "bonferroni_pairwise",
     "sweep",
-    "f_cdf",
     "f_sf",
     "regularized_incomplete_beta",
     "write_sweep_csv",
@@ -186,17 +185,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def f_cdf(x: float, df1: float, df2: float) -> float:
-    """CDF of the F(df1, df2) distribution."""
-    _number(df1, "df1", positive=True)
-    _number(df2, "df2", positive=True)
-    if x <= 0.0:
-        return 0.0
-    return regularized_incomplete_beta(0.5 * df1, 0.5 * df2, df1 * x / (df1 * x + df2))
-
-
 def f_sf(x: float, df1: float, df2: float) -> float:
-    """Upper tail 1 - CDF, computed directly for accuracy at large x."""
+    """Upper tail 1 - CDF of the F(df1, df2) distribution, computed directly
+    for accuracy at large x."""
     _number(df1, "df1", positive=True)
     _number(df2, "df2", positive=True)
     if x <= 0.0:

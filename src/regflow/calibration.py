@@ -383,7 +383,7 @@ def generate_synthetic(
 
 
 # ---------------------------------------------------------------------------
-# series I/O (same delimited layout as trajectory export)
+# series I/O: a t,G,C,M,F CSV
 # ---------------------------------------------------------------------------
 
 def write_series_csv(obs: ObservedSeries, path) -> None:

@@ -52,6 +52,7 @@ from .errors import ArgumentError, NumericalError
 from .schema import from_json, json_default
 from .schema import read_json as _load_json  # bench/tracing.py wraps it by this module's name
 from .simulation import (
+    POLICY_KINDS,
     SimulationConfig,
     default_initial,
     result_columns,
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--steps", type=int, default=None, help="override total steps")
-    sim.add_argument("--policy", choices=("rule", "scripted", "llm"), default=None)
+    sim.add_argument("--policy", choices=POLICY_KINDS, default=None)
     sim.add_argument("--llm-endpoint", default=None, help="chat-completions URL")
     sim.add_argument("--profiles", default=None, help="manufacturer profiles JSON")
     sim.add_argument("--corpus", default=None, help="regulation corpus JSON")

@@ -10,9 +10,12 @@ plus an algebraic feedback level f derived from the instantaneous state.
 The evolution is the coupled nonlinear system
 
     dg/dt = alpha1 * (1 - exp(-phi1 * t)) - beta1 * f
-    dc/dt = alpha2 * g * (1 - exp(-phi2 * c)) - beta2 * c / (1 + gamma1 * m)
+    dc/dt = alpha2 * g * (1 - exp(-phi2 * c)) - beta2 * (c / (1 + gamma1 * m))
     dm/dt = alpha3 * c * (1 - exp(-phi3 * g)) - beta3 * m
-    f     = alpha4 * m * (1 - exp(-phi4 * c)) / (1 + gamma2 * c)
+    f     = alpha4 * (m * (1 - exp(-phi4 * c)) / (1 + gamma2 * c))
+
+The code evaluates each expression as written here, left to right with
+the grouping shown.
 
 Integration is fixed-step classical RK4. After every step each component
 is clamped at zero (the quantities are semantically non-negative) and the
@@ -38,11 +41,8 @@ __all__ = [
     "DEFAULT_PARAM_BOUNDS",
     "DEFAULT_INITIAL_STATE",
     "eval_feedback",
-    "eval_derivatives",
-    "step_rk4",
     "integrate",
     "advance",
-    "write_trajectory_csv",
 ]
 
 # Steps above this are refused rather than silently ground through.
@@ -270,17 +270,6 @@ def eval_feedback(state: SystemState, p: ModelParameters) -> float:
     return _feedback(p, state.c, state.m)
 
 
-def eval_derivatives(state: SystemState, p: ModelParameters) -> tuple[float, float, float]:
-    """Time derivatives (dg, dc, dm) at a state."""
-    t, g, c, m = state.t, state.g, state.c, state.m
-    f = _feedback(p, c, m)
-    return (
-        p.alpha1 * (1.0 - _exp(-p.phi1 * t)) - p.beta1 * f,
-        p.alpha2 * g * (1.0 - _exp(-p.phi2 * c)) - p.beta2 * (c / (1.0 + p.gamma1 * m)),
-        p.alpha3 * c * (1.0 - _exp(-p.phi3 * g)) - p.beta3 * m,
-    )
-
-
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -303,7 +292,9 @@ def _rk4_run(
     samples when given. Returns (g, c, m, cost, clamps); cost is the
     left-endpoint quadrature of beta2 * c / (1 + gamma1 * m).
 
-    The stages keep the operation order of eval_derivatives, bit for bit.
+    Each stage evaluates f, dg, dc and dm as the module docstring writes
+    them, in that order and with its grouping, so a stage is bit for bit
+    the right-hand side at the stage point.
     A step runs on math.exp and is redone with the guarded _exp if
     math.exp overflows or a stage g or c is negative: only then can an
     exponent exceed 709, where _exp gives inf but math.exp still gives a
@@ -380,16 +371,6 @@ def _rk4_run(
         if samples is not None:
             samples.append((g, c, m))
     return g, c, m, cost, clamps
-
-
-def step_rk4(state: SystemState, p: ModelParameters, dt: float) -> SystemState:
-    """One classical RK4 step; components clamped at zero afterwards.
-
-    Raises NumericalError (step_index 0) when the step is not finite.
-    """
-    _number(dt, "dt", positive=True)
-    g, c, m, _, _ = _rk4_run(p, state.t, state.g, state.c, state.m, dt, 1)
-    return SystemState(t=state.t + dt, g=g, c=c, m=m)
 
 
 def _integrate_raw(
@@ -486,17 +467,3 @@ def _write_text(path, pieces) -> None:
                 fh.writelines(pieces)
     except OSError as exc:
         raise ArgumentError(f"cannot write {path}: {exc}") from None
-
-
-def trajectory_csv_lines(traj: Trajectory) -> list[str]:
-    """CSV rows (header first) with full double precision."""
-    lines = ["t,G,C,M,F"]
-    for state, f in traj.samples:
-        lines.append(
-            f"{_fmt(state.t)},{_fmt(state.g)},{_fmt(state.c)},{_fmt(state.m)},{_fmt(f)}"
-        )
-    return lines
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    _write_text(path, ("\n".join(trajectory_csv_lines(traj)), "\n"))

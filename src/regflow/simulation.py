@@ -37,6 +37,7 @@ from .corpus import Regulation, Schedule, active_phase, regulations_for
 from .dynamics import (
     DEFAULT_PARAM_BOUNDS,
     DEFAULT_PARAMETERS,
+    MAX_STEPS,
     ModelParameters,
     SystemState,
     _bounds_from_json,
@@ -92,6 +93,11 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _count(self.total_steps, "total_steps")
         _count(self.inner_substeps, "inner_substeps")
+        rk4_steps = self.total_steps * self.inner_substeps
+        if rk4_steps > MAX_STEPS:
+            raise ArgumentError(
+                f"total_steps * inner_substeps requires {rk4_steps} RK4 steps; limit is {MAX_STEPS}"
+            )
         _number(self.dt_per_step, "dt_per_step", positive=True)
         _check_box(self.param_bounds, "param_bounds")
         if self.policy_kind not in POLICY_KINDS:

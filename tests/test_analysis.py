@@ -11,7 +11,6 @@ from regflow.analysis import (
     adherence_accuracy,
     bonferroni_pairwise,
     compliance_stability,
-    f_cdf,
     f_sf,
     metrics_report,
     regularized_incomplete_beta,
@@ -95,10 +94,6 @@ class TestIncompleteBeta:
         (0.5, 7.0, 3.0, 0.2026936424866509),
     ]
 
-    def test_f_cdf_matches_reference(self):
-        for x, d1, d2, cdf in self.FROZEN:
-            assert f_cdf(x, d1, d2) == pytest.approx(cdf, abs=1e-9)
-
     def test_sf_complements_cdf(self):
         for x, d1, d2, cdf in self.FROZEN:
             assert f_sf(x, d1, d2) == pytest.approx(1.0 - cdf, abs=1e-9)
@@ -108,8 +103,8 @@ class TestIncompleteBeta:
         assert f_sf(84.96, 2.0, 96.01) == pytest.approx(5.7563379035283975e-22, rel=1e-6)
 
     def test_edges(self):
-        assert f_cdf(0.0, 3.0, 5.0) == 0.0
         assert f_sf(0.0, 3.0, 5.0) == 1.0
+        assert f_sf(-1.0, 3.0, 5.0) == 1.0
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
         assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
 
@@ -125,7 +120,9 @@ class TestIncompleteBeta:
         with pytest.raises(ArgumentError):
             regularized_incomplete_beta(1.0, 2.0, 1.5)
         with pytest.raises(ArgumentError):
-            f_cdf(1.0, 0.0, 5.0)
+            f_sf(1.0, 0.0, 5.0)
+        with pytest.raises(ArgumentError):
+            f_sf(1.0, 3.0, math.nan)
 
 
 class TestWelchAnova:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from regflow import calibration
+from regflow import calibration, simulation
 from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.cli import main
 from regflow.corpus import build_default_corpus
@@ -848,6 +848,26 @@ def test_calibrate_refuses_a_nan_tolerance_or_a_grid_over_the_step_limit(tmp_pat
     monkeypatch.setattr(calibration, "_integrate_raw", kernel)
     assert main(["calibrate", "--obs", obs, *flags, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--steps", "100000000000000000000000"], {}, "requires 2000000000000000000000000 RK4 steps; limit is 10000000"),
+        (["--steps", "500001"], {}, "total_steps * inner_substeps requires 10000020 RK4 steps; limit is 10000000"),
+        ([], {"inner_substeps": 100000000000}, "config: total_steps * inner_substeps requires 7300000000000 RK4 steps"),
+    ],
+)
+def test_simulate_refuses_a_run_over_the_step_limit(tmp_path, capsys, monkeypatch, flags, config, message):
+    def kernel(*args):
+        raise AssertionError("the integration ran")
+
+    monkeypatch.setattr(simulation, "advance", kernel)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg), *flags, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_initial_state_out_of_range_names_its_path(tmp_path, capsys):

@@ -16,12 +16,10 @@ from regflow.dynamics import (
     SystemState,
     _integrate_raw,
     advance,
-    eval_derivatives,
     eval_feedback,
     integrate,
-    step_rk4,
-    trajectory_csv_lines,
 )
+from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.errors import ArgumentError, DomainError, NumericalError
 
 
@@ -74,33 +72,9 @@ class TestEvalFeedback:
             eval_feedback(SystemState(0.0, 0.0, 1.0, 1.0), ModelParameters(alpha4=math.inf))
 
 
-class TestEvalDerivatives:
-    def test_quiescent_origin(self):
-        p = ModelParameters(alpha1=0.7, alpha2=0.5, alpha3=0.4, alpha4=0.9,
-                            phi1=1.0, phi2=1.0, phi3=1.0, phi4=1.0,
-                            beta1=0.3, beta2=0.2, beta3=0.1, gamma1=0.5, gamma2=0.5)
-        assert eval_derivatives(SystemState(t=0.0, g=5.0, c=0.0, m=0.0), p) == (0.0, 0.0, 0.0)
-
-    def test_pure_decay_of_m(self):
-        p = ModelParameters(alpha1=0.3, alpha2=0.2, alpha3=0.4, alpha4=0.5,
-                            phi1=1.0, phi2=1.0, phi3=1.0, phi4=1.0,
-                            beta1=0.1, beta2=0.2, beta3=0.5, gamma1=0.3, gamma2=0.3)
-        dg, dc, dm = eval_derivatives(SystemState(t=0.0, g=1.0, c=0.0, m=2.0), p)
-        assert dm == -1.0
-        assert dg == 0.0 and dc == 0.0
-
-    def test_undamped_unit_point(self):
-        p = ModelParameters(alpha1=1.0, alpha2=1.0, alpha3=1.0, alpha4=1.0,
-                            phi1=1.0, phi2=1.0, phi3=1.0, phi4=1.0)
-        dg, dc, dm = eval_derivatives(SystemState(1.0, 1.0, 1.0, 1.0), p)
-        expected = 1.0 - math.exp(-1.0)
-        assert dg == pytest.approx(expected, abs=1e-15)
-        assert dc == pytest.approx(expected, abs=1e-15)
-        assert dm == pytest.approx(expected, abs=1e-15)
-
-    def test_non_finite_raises(self):
-        with pytest.raises(DomainError):
-            eval_derivatives(SystemState(math.inf, 1.0, 1.0, 1.0), DEFAULT_PARAMETERS)
+def one_step(state, p, dt):
+    """One clamped RK4 step of size dt: advance with a single substep."""
+    return advance(state, p, dt, 1)[0]
 
 
 class TestStepRk4:
@@ -109,13 +83,13 @@ class TestStepRk4:
         p = ModelParameters(alpha2=0.5, alpha3=0.4, alpha4=0.8,
                             phi2=0.6, phi3=0.7, phi4=0.8,
                             beta1=0.2, beta2=0.3, beta3=0.4, gamma1=0.5, gamma2=0.5)
-        s = step_rk4(SystemState(t=0.0, g=5.0, c=0.0, m=0.0), p, 0.25)
+        s = one_step(SystemState(t=0.0, g=5.0, c=0.0, m=0.0), p, 0.25)
         assert (s.g, s.c, s.m) == (5.0, 0.0, 0.0)
         assert s.t == 0.25
 
     def test_single_step_matches_exact_quadrature(self):
         p = ModelParameters(alpha1=1.0, phi1=1.0)
-        s = step_rk4(SystemState(0.0, 0.0, 0.0, 0.0), p, 0.1)
+        s = one_step(SystemState(0.0, 0.0, 0.0, 0.0), p, 0.1)
         assert s.g == pytest.approx(closed_form_g(0.1, 1.0, 1.0), abs=1e-8)
 
     def test_local_error_against_half_steps(self):
@@ -123,18 +97,15 @@ class TestStepRk4:
         p = DEFAULT_PARAMETERS
         state = SystemState(t=0.3, g=0.8, c=0.6, m=0.4)
         for dt in (0.02, 0.01, 0.005):
-            full = step_rk4(state, p, dt)
-            half = step_rk4(step_rk4(state, p, dt / 2.0), p, dt / 2.0)
+            full = one_step(state, p, dt)
+            half = one_step(one_step(state, p, dt / 2.0), p, dt / 2.0)
             for a, b in ((full.g, half.g), (full.c, half.c), (full.m, half.m)):
                 assert abs(a - b) <= 10.0 * dt**5
 
     def test_bad_dt_raises(self):
-        with pytest.raises(ArgumentError):
-            step_rk4(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, 0.0)
-        with pytest.raises(ArgumentError):
-            step_rk4(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, -0.1)
-        with pytest.raises(ArgumentError):
-            step_rk4(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, math.nan)
+        for dt in (0.0, -0.1, math.nan):
+            with pytest.raises(ArgumentError):
+                one_step(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, dt)
 
 
 class TestIntegrate:
@@ -344,7 +315,7 @@ def ref_step(state, p, dt):
 
 
 def kernel_step(state, p, dt):
-    s = step_rk4(state, p, dt)
+    s = one_step(state, p, dt)
     return bits(s.t, s.g, s.c, s.m)
 
 
@@ -356,6 +327,39 @@ def ref_integrate_raw(t0, g, c, m, p, steps, dt):
 def kernel_integrate_raw(t0, g, c, m, p, steps, dt):
     rows, clamps = _integrate_raw(t0, g, c, m, p, steps, dt)
     return [bits(*row) for row in rows], clamps
+
+
+class TestEvalDerivatives:
+    """The reference right-hand side at points where the model's formula has
+    a known value; the kernel is matched to this reference bit for bit."""
+
+    def test_quiescent_origin(self):
+        p = ModelParameters(alpha1=0.7, alpha2=0.5, alpha3=0.4, alpha4=0.9,
+                            phi1=1.0, phi2=1.0, phi3=1.0, phi4=1.0,
+                            beta1=0.3, beta2=0.2, beta3=0.1, gamma1=0.5, gamma2=0.5)
+        assert ref_deriv(p)(0.0, 5.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+
+    def test_pure_decay_of_m(self):
+        p = ModelParameters(alpha1=0.3, alpha2=0.2, alpha3=0.4, alpha4=0.5,
+                            phi1=1.0, phi2=1.0, phi3=1.0, phi4=1.0,
+                            beta1=0.1, beta2=0.2, beta3=0.5, gamma1=0.3, gamma2=0.3)
+        dg, dc, dm = ref_deriv(p)(0.0, 1.0, 0.0, 2.0)
+        assert dm == -1.0
+        assert dg == 0.0 and dc == 0.0
+
+    def test_undamped_unit_point(self):
+        p = ModelParameters(alpha1=1.0, alpha2=1.0, alpha3=1.0, alpha4=1.0,
+                            phi1=1.0, phi2=1.0, phi3=1.0, phi4=1.0)
+        dg, dc, dm = ref_deriv(p)(1.0, 1.0, 1.0, 1.0)
+        expected = 1.0 - math.exp(-1.0)
+        assert dg == pytest.approx(expected, abs=1e-15)
+        assert dc == pytest.approx(expected, abs=1e-15)
+        assert dm == pytest.approx(expected, abs=1e-15)
+
+    def test_non_finite_raises(self):
+        # the kernel reads states only from a SystemState, which refuses this one
+        with pytest.raises(DomainError):
+            advance(SystemState(math.inf, 1.0, 1.0, 1.0), DEFAULT_PARAMETERS, 0.1, 1)
 
 
 def coefficient(name):
@@ -447,9 +451,12 @@ class TestKernelMatchesReference:
 
 
 class TestCsvExport:
-    def test_header_rows_and_full_precision(self):
+    def test_header_rows_and_full_precision(self, tmp_path):
         traj = integrate(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, 1.0, 0.25)
-        lines = trajectory_csv_lines(traj)
+        path = tmp_path / "series.csv"
+        write_series_csv(generate_synthetic(DEFAULT_PARAMETERS, DEFAULT_INITIAL_STATE, 1.0, 0.25, 1, 0.0, 0), path)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines.pop() == ""
         assert lines[0] == "t,G,C,M,F"
         assert len(lines) == len(traj) + 1
         for line, (state, f) in zip(lines[1:], traj.samples):

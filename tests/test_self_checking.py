@@ -36,7 +36,6 @@ from regflow.dynamics import (
     SystemState,
     advance,
     integrate,
-    step_rk4,
 )
 from regflow.errors import ArgumentError, DomainError
 from regflow.schema import from_json
@@ -260,7 +259,7 @@ OBS = generate_synthetic(DEFAULT_PARAMETERS, DEFAULT_INITIAL_STATE, 1.0, 0.05, 2
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: step_rk4(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, "x"), "dt must be a number, got 'x'"),
+        (lambda: advance(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, "x", 1), "dt must be a number, got 'x'"),
         (lambda: integrate(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, "x", 0.05), "horizon must be a number"),
         (lambda: integrate(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, 1.0, math.inf), "dt must be positive"),
         (lambda: advance(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, 0.05, True), "substeps must be an integer"),
@@ -293,6 +292,15 @@ def test_calibration_refuses_a_grid_over_the_step_limit_before_integrating(monke
         calibration._prepare(OBS, 1e-300)
     with pytest.raises(ArgumentError, match="limit is 10000000"):
         fit(OBS, DEFAULT_PARAMETERS, dt=1e-300)
+
+
+def test_simulation_config_refuses_more_rk4_steps_than_the_limit():
+    config = SimulationConfig(total_steps=500_000)
+    assert config.total_steps * config.inner_substeps == 10_000_000
+    with pytest.raises(ArgumentError, match=re.escape("total_steps * inner_substeps requires 10000020 RK4 steps")):
+        SimulationConfig(total_steps=500_001)
+    with pytest.raises(ArgumentError, match="limit is 10000000"):
+        dataclasses.replace(config, inner_substeps=21)
 
 
 @pytest.mark.parametrize(
