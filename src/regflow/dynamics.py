@@ -394,7 +394,9 @@ def _step_count(horizon: float, dt: float) -> int:
     # from gaining a spurious extra step from float division
     ratio = horizon / dt - 1e-9
     if not ratio <= MAX_STEPS:
-        raise ArgumentError(f"horizon/dt requires {ratio:.4g} steps; limit is {MAX_STEPS}")
+        # below 2**53 every float count is exact, so the message can name it
+        count = math.ceil(ratio) if ratio < 2.0**53 else f"{ratio:.4g}"
+        raise ArgumentError(f"horizon/dt requires {count} steps; limit is {MAX_STEPS}")
     return max(math.ceil(ratio), 1)
 
 

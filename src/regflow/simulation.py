@@ -11,7 +11,10 @@ exactly from its own records.
 
 Manufacturers own independent copies of the model state and coefficients;
 they interact only through the shared approval threshold (and the recorded
-mean feedback, kept for analysis).
+mean feedback, kept for analysis). Within a run, agents whose coefficients
+went through the same adjustments hold one shared, immutable
+ModelParameters, built once, and each distinct ratio is decided once per
+step; the records are those of adjusting and deciding every agent afresh.
 """
 
 from __future__ import annotations
@@ -194,6 +197,9 @@ def _run_engine(
     records: list[StepRecord] = []
     clamp_events = 0
     llm_fallbacks = 0
+    # (id(coefficients), deltas) -> (coefficients, adjusted): each entry holds
+    # its input, so no id is reused while the run lasts
+    adjusted: dict[tuple, tuple[ModelParameters, ModelParameters]] = {}
 
     for t in range(config.total_steps):
         phase = active_phase(t, config.schedule)
@@ -209,16 +215,27 @@ def _run_engine(
         decisions = decide_step(t, regs, views)
 
         step_brrs: list[float] = []
+        approvals: dict[float, bool] = {}
         agent_records: dict[str, AgentStepRecord] = {}
         for aid in ids:
             decision = decisions[aid]
             if decision.fallback is not None:
                 llm_fallbacks += 1
-            params[aid] = apply_adjustments(params[aid], decision.adjustments, config.param_bounds)
+            p = params[aid]
+            deltas = decision.adjustments.deltas
+            # 0.0 == -0.0 but the two add to different bits, so a zero delta
+            # is never looked up
+            if 0.0 in deltas.values():
+                p = apply_adjustments(p, decision.adjustments, config.param_bounds)
+            else:
+                key = (id(p), tuple(deltas.items()))
+                hit = adjusted.get(key)
+                if hit is None:
+                    hit = adjusted[key] = (p, apply_adjustments(p, decision.adjustments, config.param_bounds))
+                p = hit[1]
+            params[aid] = p
             try:
-                new_state, f, cost, clamps = advance(
-                    states[aid], params[aid], config.dt_per_step, config.inner_substeps
-                )
+                new_state, f, cost, clamps = advance(states[aid], p, config.dt_per_step, config.inner_substeps)
             except NumericalError as exc:
                 raise NumericalError(
                     f"agent {aid} diverged at simulation step {t}: {exc}", step_index=t
@@ -231,12 +248,14 @@ def _run_engine(
             approved: bool | None = None
             if decision.comply:
                 brr_value = compute_brr(decision.submission)
-                approved = decide(brr_value, threshold).approved
+                approved = approvals.get(brr_value)
+                if approved is None:
+                    approved = approvals[brr_value] = decide(brr_value, threshold).approved
                 last_approved[aid] = approved
                 step_brrs.append(brr_value)
 
             agent_records[aid] = AgentStepRecord(
-                params=params[aid],
+                params=p,
                 state=new_state,
                 f=f,
                 decision=decision,

@@ -837,6 +837,7 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, output, argv)
     [
         (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
         (["--dt", "1e-300"], "requires 1e+300 steps; limit is 10000000"),
+        (["--dt", repr(1.0 / 10000003)], "requires 10000003 steps; limit is 10000000"),
     ],
 )
 def test_calibrate_refuses_a_nan_tolerance_or_a_grid_over_the_step_limit(tmp_path, capsys, monkeypatch, flags, message):

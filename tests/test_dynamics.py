@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -15,6 +16,7 @@ from regflow.dynamics import (
     ModelParameters,
     SystemState,
     _integrate_raw,
+    _step_count,
     advance,
     eval_feedback,
     integrate,
@@ -202,6 +204,26 @@ class TestIntegrate:
     def test_step_count_overflow_rejected(self):
         with pytest.raises(ArgumentError, match="steps"):
             integrate(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, 2.0e6, 0.1)
+
+    @pytest.mark.parametrize(
+        "horizon, dt, count",
+        [
+            (3.0, 3.0 / 10000003, "10000003"),
+            (1.0, 1.0 / 10000001, "10000001"),
+            (2.0**53 - 2.0, 1.0, "9007199254740990"),
+        ],
+    )
+    def test_step_count_over_the_limit_names_the_exact_count(self, horizon, dt, count):
+        with pytest.raises(ArgumentError, match=rf"^horizon/dt requires {count} steps; limit is 10000000$"):
+            _step_count(horizon, dt)
+
+    @pytest.mark.parametrize(
+        "horizon, dt, count",
+        [(2.0**53, 1.0, "9.007e+15"), (3.0, 1e-300, "3e+300"), (1.0, 5e-324, "inf"), (math.inf, 1.0, "inf")],
+    )
+    def test_step_count_beyond_exact_floats_keeps_four_digits(self, horizon, dt, count):
+        with pytest.raises(ArgumentError, match=rf"^horizon/dt requires {re.escape(count)} steps; limit is 10000000$"):
+            _step_count(horizon, dt)
 
     def test_horizon_shorter_than_dt_rejected(self):
         with pytest.raises(ArgumentError):
