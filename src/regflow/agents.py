@@ -23,10 +23,9 @@ import os
 import urllib.parse
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from types import MappingProxyType
 
-from .brr import Submission
+from .brr import SCORE_FIELDS, Submission
 from .corpus import Regulation
 from .dynamics import (
     DEFAULT_PARAM_BOUNDS,
@@ -38,7 +37,7 @@ from .dynamics import (
     _real,
 )
 from .errors import ArgumentError, ReplyParseError
-from .schema import from_json
+from .schema import from_json, parse_json
 
 __all__ = [
     "ManufacturerProfile",
@@ -59,7 +58,6 @@ __all__ = [
 
 DEFAULT_MAX_STEP = 0.05
 
-RESOURCE_TIERS = ("limited", "medium", "rich")
 RISK_PREFERENCES = ("low", "medium", "high")
 
 TIER_INDEX = {"limited": 0, "medium": 1, "rich": 2}
@@ -76,7 +74,7 @@ class ManufacturerProfile:
     focus: str = ""
 
     def __post_init__(self) -> None:
-        if self.resource_tier not in RESOURCE_TIERS:
+        if self.resource_tier not in TIER_INDEX:
             raise ArgumentError(f"unknown resource tier {self.resource_tier!r}")
         if self.risk_preference not in RISK_PREFERENCES:
             raise ArgumentError(f"unknown risk preference {self.risk_preference!r}")
@@ -240,10 +238,6 @@ def rule_policy_decide(
     )
 
 
-_param_values = attrgetter(*PARAM_FIELDS)
-_PARAM_INDEX = {name: i for i, name in enumerate(PARAM_FIELDS)}
-
-
 def apply_adjustments(
     p: ModelParameters,
     adj: ParameterAdjustment,
@@ -254,13 +248,11 @@ def apply_adjustments(
     if not adj.deltas:
         return p
     box = bounds if bounds is not None else DEFAULT_PARAM_BOUNDS
-    values = list(_param_values(p))
+    changes = {}
     for name, delta in adj.deltas.items():
         lo, hi = box[name]
-        i = _PARAM_INDEX[name]
-        values[i] = min(max(values[i] + delta, lo), hi)
-    # one positional call: ModelParameters' own check runs, replace()'s field walk does not
-    return ModelParameters(*values)
+        changes[name] = min(max(getattr(p, name) + delta, lo), hi)
+    return p.replace(**changes)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +265,7 @@ REPLY_GRAMMAR = (
     '"adverse": int, "rationale": string}'
 )
 
-_SCORE_KEYS = ("safety", "effectiveness", "compliance", "adverse")
-_REQUIRED_KEYS = ("comply", "adjustments", "rationale") + _SCORE_KEYS
+_REQUIRED_KEYS = ("comply", "adjustments", "rationale") + SCORE_FIELDS
 
 
 def render_prompt(
@@ -328,16 +319,13 @@ def render_prompt(
 def _extract_json_object(text: str) -> dict:
     stripped = text.strip()
     try:
-        data = json.loads(stripped)
-    except json.JSONDecodeError:
+        data = parse_json(stripped, "reply")
+    except ArgumentError:
         start = stripped.find("{")
         end = stripped.rfind("}")
         if start == -1 or end <= start:
             raise ReplyParseError("reply contains no JSON object") from None
-        try:
-            data = json.loads(stripped[start : end + 1])
-        except json.JSONDecodeError as exc:
-            raise ReplyParseError(f"reply is not valid JSON: {exc}") from None
+        data = parse_json(stripped[start : end + 1], "reply")
     if not isinstance(data, dict):
         raise ReplyParseError(f"reply must be a JSON object, got {type(data).__name__}")
     return data
@@ -354,48 +342,48 @@ def parse_llm_reply(
     Out-of-range or non-integral scores are clipped/rounded with a warning
     rather than rejected; unknown adjustment keys are dropped with a
     warning; adjustment values are clipped to +/-max_step. A missing
-    required field or a malformed document raises ReplyParseError.
+    required field, a value that is not a finite number where one is due
+    or a malformed document raises ReplyParseError.
     """
-    data = _extract_json_object(text)
-    missing = [k for k in _REQUIRED_KEYS if k not in data]
-    if missing:
-        raise ReplyParseError(f"reply is missing required fields: {missing}")
+    try:
+        data = _extract_json_object(text)
+        missing = [k for k in _REQUIRED_KEYS if k not in data]
+        if missing:
+            raise ReplyParseError(f"reply is missing required fields: {missing}")
 
-    comply = data["comply"]
-    if not isinstance(comply, bool):
-        raise ReplyParseError(f"comply must be a boolean, got {data['comply']!r}")
-    rationale = data["rationale"]
-    if not isinstance(rationale, str):
-        raise ReplyParseError("rationale must be a string")
-    raw_adjustments = data["adjustments"]
-    if not isinstance(raw_adjustments, dict):
-        raise ReplyParseError("adjustments must be an object")
+        comply = data["comply"]
+        if not isinstance(comply, bool):
+            raise ReplyParseError(f"comply must be a boolean, got {data['comply']!r}")
+        rationale = data["rationale"]
+        if not isinstance(rationale, str):
+            raise ReplyParseError("rationale must be a string")
+        raw_adjustments = data["adjustments"]
+        if not isinstance(raw_adjustments, dict):
+            raise ReplyParseError("adjustments must be an object")
 
-    warnings: list[str] = []
-    scores: dict[str, int] = {}
-    for key in _SCORE_KEYS:
-        v = data[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ReplyParseError(f"score {key} must be a finite number, got {v!r}")
-        iv = _round_half_up(v)
-        if iv != v:
-            warnings.append(f"score {key}={v!r} rounded to {iv}")
-        clipped = _clip_score(iv)
-        if clipped != iv:
-            warnings.append(f"score {key}={iv} clipped to {clipped}")
-        scores[key] = clipped
+        warnings: list[str] = []
+        scores: dict[str, int] = {}
+        for key in SCORE_FIELDS:
+            v = data[key]
+            iv = _round_half_up(_number(v, f"score {key}", -math.inf))
+            if iv != v:
+                warnings.append(f"score {key}={v!r} rounded to {iv}")
+            clipped = _clip_score(iv)
+            if clipped != iv:
+                warnings.append(f"score {key}={iv} clipped to {clipped}")
+            scores[key] = clipped
 
-    deltas: dict[str, float] = {}
-    for key, v in raw_adjustments.items():
-        if key not in PARAM_FIELDS:
-            warnings.append(f"unknown adjustment key {key!r} dropped")
-            continue
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ReplyParseError(f"adjustment {key} must be a finite number, got {v!r}")
-        clipped_v = _clip_delta(float(v), max_step)
-        if clipped_v != v:
-            warnings.append(f"adjustment {key}={v!r} clipped to {clipped_v}")
-        deltas[key] = clipped_v
+        deltas: dict[str, float] = {}
+        for key, v in raw_adjustments.items():
+            if key not in PARAM_FIELDS:
+                warnings.append(f"unknown adjustment key {key!r} dropped")
+                continue
+            clipped_v = _clip_delta(_number(v, f"adjustment {key}", -math.inf), max_step)
+            if clipped_v != v:
+                warnings.append(f"adjustment {key}={v!r} clipped to {clipped_v}")
+            deltas[key] = clipped_v
+    except ArgumentError as exc:
+        raise ReplyParseError(str(exc)) from None
 
     submission = None
     if comply:
@@ -537,7 +525,7 @@ def llm_policy_decide(
                 failure, detail = "transport", str(exc)
             continue
         try:
-            content = json.loads(raw)["choices"][0]["message"]["content"]
+            content = parse_json(raw, "response body")["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError("message content is not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:

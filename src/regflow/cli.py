@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 from .agents import ClientConfig, DEFAULT_PROFILES, ManufacturerProfile, _profile_from_dict
 from .analysis import (
     DEFAULT_EPSILON,
+    OUTPUT_NAMES,
     bonferroni_pairwise,
     metrics_report,
     sweep,
@@ -269,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, v in enumerate(result.values):
         rates = " ".join(
             f"rate_{name}={fmt_rate(result.change_rates[name][i])}"
-            for name in ("G", "C", "M", "F")
+            for name in OUTPUT_NAMES
         )
         print(f"{result.parameter}={v:g}: {rates}")
     return 0

@@ -1,4 +1,9 @@
-"""The JSON boundary: one loader, one encoder hook and one file reader.
+"""The JSON boundary: one decoder, one loader, one encoder hook and one file reader.
+
+parse_json is the package's one JSON decoder. read_json, the llm policy's
+completion envelope and its reply all go through it, so text that the
+parser refuses (not JSON, an integer of more than 4300 digits, nesting
+deeper than the recursion limit) raises ArgumentError everywhere.
 
 from_json reads a dataclass from parsed JSON by its fields and their type
 hints. An unknown key, a missing key whose field has no default, or a value
@@ -52,7 +57,16 @@ from json.encoder import encode_basestring_ascii
 from .dynamics import _integer, _real
 from .errors import ArgumentError
 
-__all__ = ["compact_json", "from_json", "json_default", "read_json"]
+__all__ = ["compact_json", "from_json", "json_default", "parse_json", "read_json"]
+
+
+def parse_json(text, where: str):
+    """The parsed content of JSON text (str, or bytes in a UTF encoding);
+    ArgumentError naming `where` for anything the parser refuses."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ArgumentError(f"{where} is not valid JSON: {exc}") from None
 
 
 def read_json(path):
@@ -60,13 +74,12 @@ def read_json(path):
     the file cannot be read, is not UTF-8 text or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ArgumentError(f"{path} is not UTF-8 text: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        raise ArgumentError(f"{path} is not valid JSON: {exc}") from None
+    return parse_json(text, path)
 
 
 @functools.cache
@@ -148,30 +161,16 @@ def _load(hint, value, path: str):
     raise TypeError(f"no JSON reading for the annotation {hint!r} at {path}")
 
 
-@functools.cache
-def _keys(cls):
-    """(json key, attribute name) for each field of a dataclass, in field
-    order, and the name of its "inline" field or None; None when cls is not
-    a dataclass."""
-    if not dataclasses.is_dataclass(cls):
-        return None
-    table = _fields(cls)
-    if table and table[0][1].metadata.get("inline"):
-        return (), table[0][1].name
-    return tuple((key, f.name) for key, f, _ in table), None
-
-
 def json_default(obj):
     """The json.dumps default= hook: a dataclass as a dict of its fields,
     with the "json" and "inline" metadata applied; TypeError for any other
     value JSON cannot hold."""
-    keys = _keys(type(obj))
-    if keys is None:
+    if not dataclasses.is_dataclass(type(obj)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    pairs, inline = keys
-    if inline is not None:
-        return dict(getattr(obj, inline))
-    return {key: getattr(obj, name) for key, name in pairs}
+    table = _fields(type(obj))
+    if table and table[0][1].metadata.get("inline"):
+        return dict(getattr(obj, table[0][1].name))
+    return {key: getattr(obj, f.name) for key, f, _ in table}
 
 
 #: Pieces an encoder holds before a list-element boundary writes them out.
@@ -185,15 +184,16 @@ def _plan(cls):
     field name or None, ('{"key":' or ',"key":', attribute name) per field in
     key order, closing text); None when cls is not a dataclass, or is one
     that JSON writes as the str, number, list or dict it subclasses."""
-    keys = _keys(cls)
-    if keys is None or issubclass(cls, (str, int, float, list, tuple, dict)):
+    if not dataclasses.is_dataclass(cls) or issubclass(cls, (str, int, float, list, tuple, dict)):
         return None
-    pairs, inline = keys
+    table = _fields(cls)
+    if table and table[0][1].metadata.get("inline"):
+        return cls.__dataclass_params__.frozen, table[0][1].name, (), "{}"
     prefixes = tuple(
-        (("," if i else "{") + encode_basestring_ascii(key) + ":", name)
-        for i, (key, name) in enumerate(sorted(pairs))
+        (("," if i else "{") + encode_basestring_ascii(key) + ":", f.name)
+        for i, (key, f, _) in enumerate(sorted(table, key=lambda row: row[0]))
     )
-    return cls.__dataclass_params__.frozen, inline, prefixes, "}" if pairs else "{}"
+    return cls.__dataclass_params__.frozen, None, prefixes, "}" if table else "{}"
 
 
 def compact_json(obj, write) -> None:

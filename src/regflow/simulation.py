@@ -476,14 +476,6 @@ def _record_columns(records) -> tuple[dict[str, list], dict[str, list], dict[str
     return g_cols, c_cols, final_m
 
 
-def _result_header(data: dict) -> tuple[SimulationConfig, list[ManufacturerProfile]]:
-    """The checked config and profiles of a parsed result.json."""
-    profiles = [
-        _profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))
-    ]
-    return _config_from_dict(data.get("config", {})), profiles
-
-
 @dataclass
 class ResultColumns:
     """The part of a result.json that `metrics` reads: per agent, the g and
@@ -502,7 +494,8 @@ def result_columns(data: dict) -> ResultColumns:
     result_from_json_dict on records, profiles and config, without building
     parameters, decisions or any other field of a record."""
     g, c, final_m = _record_columns(data["records"])
-    config, profiles = _result_header(data)
+    profiles = [_profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))]
+    config = _config_from_dict(data.get("config", {}))
     return ResultColumns(
         steps=len(data["records"]), g=g, c=c, final_m=final_m, config=config, profiles=profiles
     )

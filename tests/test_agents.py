@@ -320,6 +320,37 @@ class TestParseLlmReply:
         with pytest.raises(ReplyParseError):
             parse_llm_reply("[1, 2, 3]")
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("safety", "9" * 400, "score safety must be a number"),
+            ("adjustments", '{"alpha1": -' + "9" * 400 + "}", "adjustment alpha1 must be a number"),
+            ("safety", "9" * 5000, "reply is not valid JSON"),
+            ("safety", "[" * 100_000 + "]" * 100_000, "reply is not valid JSON"),
+            ("safety", "NaN", "score safety must be finite"),
+            ("rationale", "7", "rationale must be a string"),
+            ("adjustments", "[]", "adjustments must be an object"),
+        ],
+        ids=[
+            "score-past-the-float-range",
+            "adjustment-past-the-float-range",
+            "integer-too-long",
+            "nested-too-deep",
+            "score-nan",
+            "rationale-not-a-string",
+            "adjustments-not-an-object",
+        ],
+    )
+    def test_malformed_value_raises_reply_parse_error(self, key, raw, message):
+        # the raw JSON text goes in as written: json.dumps could not write most of it
+        text = json.dumps(dict(self.GOOD, **{key: None})).replace(f'"{key}": null', f'"{key}": {raw}')
+        with pytest.raises(ReplyParseError, match=message):
+            parse_llm_reply(text)
+
+    def test_braces_around_text_that_is_not_json_fail(self):
+        with pytest.raises(ReplyParseError, match="reply is not valid JSON"):
+            parse_llm_reply("Here it is: {comply: yes, safety: high} as asked")
+
     def test_decision_invariants_hold(self):
         d = parse_llm_reply(json.dumps(self.GOOD), agent_id="A")
         assert isinstance(d, AgentDecision)

@@ -220,6 +220,10 @@ class TestWelchAnova:
         with pytest.raises(ArgumentError):
             welch_anova([[1.0], [2.0, 3.0]])
 
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(ArgumentError, match="group 1 contains non-finite values"):
+            welch_anova([[1.0, 2.0], [3.0, math.nan]])
+
 
 class TestBonferroni:
     def test_two_groups_single_pair_unadjusted(self):
@@ -250,6 +254,10 @@ class TestBonferroni:
             ("limited", "rich"),
             ("medium", "rich"),
         ]
+
+    def test_wrong_number_of_labels_rejected(self):
+        with pytest.raises(ArgumentError, match="got 2 labels for 3 groups"):
+            bonferroni_pairwise([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], labels=["a", "b"])
 
 
 class TestSweep:
@@ -291,6 +299,10 @@ class TestSweep:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ArgumentError):
             sweep(DEFAULT_PARAMETERS, SystemState(0.0, 0.5, 0.5, 0.5), 2.0, 0.05, "delta9", [0.1])
+
+    def test_no_values_rejected(self):
+        with pytest.raises(ArgumentError, match="values must be non-empty"):
+            sweep(DEFAULT_PARAMETERS, SystemState(0.0, 0.5, 0.5, 0.5), 2.0, 0.05, "alpha1", [])
 
     def test_csv_layout(self, tmp_path):
         base = ModelParameters(alpha1=0.1, phi1=1.0)

@@ -123,6 +123,14 @@ class TestObjective:
                 0.1,
             )
 
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ArgumentError, match="m_obs length 1 != times length 2"):
+            objective(
+                TRUE_PARAMS,
+                ObservedSeries([0.0, 0.1], [1.0, 1.0], [1.0, 1.0], [1.0], [0.0, 0.0]),
+                0.1,
+            )
+
 
 class TestLevenbergMarquardt:
     def test_quadratic_bowl(self):
@@ -180,6 +188,30 @@ class TestFit:
         res0 = fit(obs, guess, options=opts0)
         res3 = fit(obs, guess, options=opts3)
         assert res3.objective_value <= res0.objective_value
+
+    def test_a_restart_that_wins_gives_the_result(self, monkeypatch):
+        # a start from the box's top corner stops unconverged after 8
+        # iterations; seed 1's first restart converges, so the loop stops
+        # there and its coefficients, objective and convergence are returned
+        obs = make_noiseless_obs(horizon=2.0)
+        bounds = {n: (0.8 * getattr(TRUE_PARAMS, n), 1.2 * getattr(TRUE_PARAMS, n)) for n in PARAM_FIELDS}
+        guess = ModelParameters(**{n: hi for n, (_, hi) in bounds.items()})
+        starts = []
+
+        def recording(*args):
+            starts.append(_levenberg_marquardt(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(calibration, "_levenberg_marquardt", recording)
+        res = fit(obs, guess, bounds=bounds, options=FitOptions(max_iter=8, tol=1e-12, restarts=3, seed=1))
+        assert len(starts) == 2
+        (_, first_f, first_iters, first_conv), (x, f, iters, conv) = starts
+        assert not first_conv and conv and f < first_f
+        assert res.params == ModelParameters(*x.tolist())
+        assert res.objective_value == f
+        assert res.converged
+        assert res.iterations == first_iters + iters
+        assert res.restarts_used == 1
 
     def test_deterministic_given_seed(self):
         obs = make_noiseless_obs(horizon=2.0)
@@ -398,3 +430,10 @@ class TestSeriesCsv:
         path.write_text("")
         with pytest.raises(ArgumentError):
             read_series_csv(path)
+
+    def test_blank_row_is_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,G,C,M,F\n0,1,1,1,0\n\n0.1,2,2,2,0.5\n")
+        back = read_series_csv(path)
+        assert back.times == [0.0, 0.1]
+        assert back.f_obs == [0.0, 0.5]

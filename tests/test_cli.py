@@ -73,6 +73,10 @@ class TestSimulateCommand:
     def test_bad_format_exits_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--format", "xml"]) == 2
 
+    def test_format_naming_no_output_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path), "--format", ","]) == 2
+        assert "--format must name at least one of csv, json" in capsys.readouterr().err
+
     def test_scripted_without_script_exits_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--policy", "scripted"]) == 2
 
@@ -127,6 +131,12 @@ class TestCalibrateCommand:
         obs_path = tmp_path / "bad.csv"
         obs_path.write_text("t,G,C,M,F\n0,1,banana,1,0\n1,1,1,1,0\n")
         assert main(["calibrate", "--obs", str(obs_path), "--out", str(tmp_path)]) == 2
+
+    def test_obs_row_with_four_columns_exits_2(self, tmp_path, capsys):
+        obs_path = tmp_path / "short.csv"
+        obs_path.write_text("t,G,C,M,F\n0,1,1,1,0\n1,1,1,1\n")
+        assert main(["calibrate", "--obs", str(obs_path), "--out", str(tmp_path)]) == 2
+        assert f"{obs_path}:3: expected 5 columns, got 4" in capsys.readouterr().err
 
     def test_nonpositive_dt_exits_2(self, tmp_path, capsys):
         obs = generate_synthetic(DEFAULT_PARAMETERS, SystemState(0.0, 0.4, 0.3, 0.2), 1.0, 0.05, 2, 0.0, 0)
@@ -414,6 +424,19 @@ class TestSweepCommand:
     def test_bad_values_exit_2(self, tmp_path):
         assert main(["sweep", "--parameter", "alpha1", "--values", "a,b", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--values", ","], "--values must name at least one number"),
+            (["--values", "0.1", "--initial", "1,2"], "--initial must be three comma-separated numbers"),
+            (["--values", "0.1", "--initial", "a,b,c"], "cannot parse --initial"),
+        ],
+        ids=["no-values", "two-initial-numbers", "initial-not-numbers"],
+    )
+    def test_malformed_values_or_initial_exit_2(self, tmp_path, capsys, flags, message):
+        assert main(["sweep", "--parameter", "alpha1", *flags, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     @pytest.fixture()
@@ -500,6 +523,28 @@ class TestMetricsCommand:
 
     def test_missing_result_exits_2(self, tmp_path):
         assert main(["metrics", "--result", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("bad", "bad --groups entry 'bad'"),
+            ("x:", "group 'x' has no members"),
+            (";", "--groups spec is empty"),
+            ("one:A,B;two:C,Z", "group members not present in result: ['Z']"),
+        ],
+        ids=["no-colon", "no-members", "empty", "unknown-member"],
+    )
+    def test_malformed_groups_spec_exits_2(self, result_path, tmp_path, capsys, spec, message):
+        assert main(["metrics", "--result", str(result_path), "--groups", spec, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_result_without_records_exits_2(self, result_path, tmp_path, capsys):
+        data = json.loads(result_path.read_text())
+        data["records"] = []
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(data))
+        assert main(["metrics", "--result", str(empty), "--out", str(tmp_path)]) == 2
+        assert "result contains no step records" in capsys.readouterr().err
 
     def test_frozen_dynamics_gives_zero_stability_and_f_zero_groups(self, tmp_path, capsys):
         # pin every coefficient at zero so states never move
@@ -605,6 +650,30 @@ class TestLlmPolicyViaCli:
 
     def test_llm_policy_without_endpoint_exits_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--policy", "llm"]) == 2
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["9" * 400, "9" * 5000, "[" * 100_000 + "]" * 100_000],
+        ids=["score-past-the-float-range", "integer-too-long", "nested-too-deep"],
+    )
+    def test_reply_the_shared_checks_refuse_falls_back(self, tmp_path, raw):
+        from llm_stub import StubLLMServer
+
+        reply = json.dumps({
+            "comply": True, "adjustments": {}, "safety": None, "effectiveness": 8,
+            "compliance": 9, "adverse": 3, "rationale": "r",
+        }).replace('"safety": null', f'"safety": {raw}')
+        out = tmp_path / "run"
+        with StubLLMServer(behavior="reply", reply_content=reply) as server:
+            code = main([
+                "simulate", "--out", str(out), "--steps", "2", "--format", "json",
+                "--policy", "llm", "--llm-endpoint", server.url,
+            ])
+        assert code == 0
+        data = json.loads((out / "result.json").read_text())
+        assert data["llm_fallbacks"] == 2 * 10
+        decisions = [ar["decision"] for rec in data["records"] for ar in rec["agents"].values()]
+        assert [d["fallback"] for d in decisions] == ["parse"] * 20
 
 
 class TestExitCodes:

@@ -105,6 +105,28 @@ class TestLlmPolicy:
         # garbage is a terminal failure: no retries burned on it
         assert server.hits == 1
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"choices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            json.dumps({"choices": [{"message": {"content": 5}}]}),
+        ],
+        ids=["nested-too-deep", "content-not-a-string"],
+    )
+    def test_malformed_completion_envelope_falls_back(self, monkeypatch, body):
+        calls = []
+
+        def post(*args):
+            calls.append(args)
+            return body.encode("utf-8")
+
+        monkeypatch.setattr(agents, "_post_json", post)
+        cfg = ClientConfig(endpoint="http://127.0.0.1:9/v1/chat/completions", retries=2)
+        d = llm_policy_decide(PROFILE, REGS, STATE, ENV, cfg)
+        assert d.fallback == "parse"
+        assert d.rationale.startswith("fallback (parse: malformed completion envelope: ")
+        assert len(calls) == 1
+
     def test_ungrammatical_content_falls_back(self):
         with StubLLMServer(behavior="reply", reply_content="I will comply, trust me") as server:
             d = llm_policy_decide(PROFILE, REGS, STATE, ENV, client_for(server))
@@ -211,6 +233,10 @@ class TestEndpointScheme:
     def test_non_http_endpoint_rejected(self, endpoint):
         with pytest.raises(ArgumentError, match="llm.endpoint must be an http or https URL"):
             ClientConfig(endpoint=endpoint)
+
+    def test_non_string_model_rejected(self):
+        with pytest.raises(ArgumentError, match="llm.model must be a string, got 5"):
+            ClientConfig(endpoint="http://h/v1", model=5)
 
     @pytest.mark.parametrize("endpoint", ["http://h/v1", "https://h/v1", "HTTP://h/v1"])
     def test_http_endpoint_accepted(self, endpoint):

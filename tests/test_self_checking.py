@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from regflow import calibration
 from regflow.agents import (
     DEFAULT_PROFILES,
-    RESOURCE_TIERS,
     RISK_PREFERENCES,
+    TIER_INDEX,
     AgentDecision,
     ClientConfig,
     ParameterAdjustment,
@@ -161,7 +161,7 @@ def test_regulation_rejects_an_unknown_strictness(strictness):
 @settings(max_examples=60, deadline=None)
 @given(
     change=st.one_of(
-        st.tuples(st.just("resource_tier"), st.text().filter(lambda s: s not in RESOURCE_TIERS)),
+        st.tuples(st.just("resource_tier"), st.text().filter(lambda s: s not in TIER_INDEX)),
         st.tuples(st.just("risk_preference"), st.text().filter(lambda s: s not in RISK_PREFERENCES)),
         st.tuples(st.just("ai_investment_fraction"), NOT_A_UNIT_FRACTION),
     )

@@ -196,6 +196,11 @@ class TestRun:
         with pytest.raises(ArgumentError):
             run(small_config(), [], {}, CORPUS)
 
+    def test_duplicate_profile_ids_rejected(self):
+        profiles = [DEFAULT_PROFILES[0], DEFAULT_PROFILES[0]]
+        with pytest.raises(ArgumentError, match="manufacturer profile ids must be unique"):
+            run(small_config(), profiles, default_initial(profiles[:1]), CORPUS)
+
     def test_scripted_policy_kind_requires_run_scripted(self):
         with pytest.raises(ArgumentError):
             run(
