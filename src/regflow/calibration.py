@@ -219,7 +219,8 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
     not finite (returned with sum inf). iterations counts the Jacobians
     built.
 
-    Returns (x_best, f_best, iterations, converged).
+    Returns (x_best, r_best, f_best, iterations, converged), r_best being
+    resid(x_best).
     """
     import numpy as np
 
@@ -227,9 +228,9 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
     r = resid(x)
     f = float(r @ r)
     if f <= tol:
-        return x, f, 0, True
+        return x, r, f, 0, True
     if not math.isfinite(f):
-        return x, math.inf, 0, False
+        return x, r, math.inf, 0, False
     n = len(x)
     scale = np.zeros(n)
     lam, grow = 1e-3, 2.0
@@ -257,7 +258,7 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
             step[free] = np.linalg.lstsq(damped, rhs, rcond=None)[0]
             x_new = np.clip(x + step, lo, hi)
             if lam > _MAX_DAMPING or np.array_equal(x_new, x):
-                return x, f, it, True
+                return x, r, f, it, True
             r_new = resid(x_new)
             f_new = float(r_new @ r_new)
             if f_new < f:
@@ -273,8 +274,8 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
         grow = 2.0
         x, r, f = x_new, r_new, f_new
         if f <= tol:
-            return x, f, it, True
-    return x, f, max_iter, False
+            return x, r, f, it, True
+    return x, r, f, max_iter, False
 
 
 def fit(
@@ -317,7 +318,7 @@ def fit(
             return np.full(4 * len(obs), math.inf)
 
     rng = random.Random(opts.seed)
-    best_x, best_f, total_iters, best_conv = _levenberg_marquardt(
+    best_x, best_r, best_f, total_iters, best_conv = _levenberg_marquardt(
         resid, x_guess, lo, hi, opts.max_iter, opts.tol
     )
     restarts_used = 0
@@ -326,13 +327,19 @@ def fit(
             break
         x0_r = np.array([rng.uniform(lo[i], hi[i]) for i in range(len(PARAM_FIELDS))])
         restarts_used += 1
-        x, f, iters, conv = _levenberg_marquardt(resid, x0_r, lo, hi, opts.max_iter, opts.tol)
+        x, r, f, iters, conv = _levenberg_marquardt(resid, x0_r, lo, hi, opts.max_iter, opts.tol)
         total_iters += iters
         if f < best_f:
-            best_x, best_f, best_conv = x, f, conv
+            best_x, best_r, best_f, best_conv = x, r, f, conv
 
     params = ModelParameters(*best_x.tolist())
-    total, components = _sum_squares(_residuals(params, obs, dt, prep))
+    # resid stands in infinite residuals for a diverged integration; only
+    # then is it run again, so that its NumericalError reaches the caller
+    if np.all(np.isfinite(best_r)):
+        rows = best_r.reshape(4, -1).tolist()
+    else:
+        rows = _residuals(params, obs, dt, prep)
+    total, components = _sum_squares(rows)
     return FitResult(
         params=params,
         objective_value=total,

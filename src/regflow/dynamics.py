@@ -168,12 +168,20 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _real(value, where: str) -> float:
-    """A JSON number as a float; ArgumentError for anything else."""
+    """A JSON number as a float; ArgumentError for anything else. An integer
+    past the float range is named by its digit count, not its digits."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
-            pass
+            if isinstance(value, int):
+                try:
+                    size = f"{len(str(abs(value)))} digits"
+                except ValueError:  # past the digits str() converts
+                    size = f"{value.bit_length()} bits"
+                raise ArgumentError(
+                    f"{where} must be a number within the float range, got an integer of {size}"
+                ) from None
     raise ArgumentError(f"{where} must be a number, got {value!r}")
 
 

@@ -31,18 +31,11 @@ Field metadata changes how one field is read or written:
     "inline"  the object's JSON form is this field's value (a one-field class)
     "load"    a function (value, path) that reads the field in place of its type
 
-json_default is the ``default=`` hook of the json.dumps calls that write
-fit.json, metrics.json and ``corpus print``: a dataclass dumps as a dict of
-the fields its constructor takes, with the "json" and "inline" metadata
-applied. Those outputs are indented and nothing in them repeats.
-
-compact_json writes result.json. Its text is exactly that of
-``json.dumps(obj, default=json_default, sort_keys=True, separators=(",", ":"))``,
-with less work: each distinct nonzero float is formatted once, each frozen
-dataclass instance (a decision a run reuses, its submission and
-adjustments, unchanged coefficients) is encoded once, and each dataclass's
-sorted keys come once per class from the same field table as json_default.
-It streams the text in chunks, so the document is never held as one string.
+json_default is the ``default=`` hook of every json.dumps call that writes
+an output: fit.json, metrics.json and ``corpus print`` (indented), and
+result.json (compact, through simulation's encoder): a dataclass dumps as a
+dict of the fields its constructor takes, with the "json" and "inline"
+metadata applied.
 """
 
 from __future__ import annotations
@@ -52,12 +45,11 @@ import functools
 import json
 import types
 import typing
-from json.encoder import encode_basestring_ascii
 
 from .dynamics import _integer, _real
 from .errors import ArgumentError
 
-__all__ = ["compact_json", "from_json", "json_default", "parse_json", "read_json"]
+__all__ = ["from_json", "json_default", "parse_json", "read_json"]
 
 
 def parse_json(text, where: str):
@@ -172,140 +164,3 @@ def json_default(obj):
         return dict(getattr(obj, table[0][1].name))
     return {key: getattr(obj, f.name) for key, f, _ in table}
 
-
-#: Pieces an encoder holds before a list-element boundary writes them out.
-_CHUNK = 4096
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-@functools.cache
-def _plan(cls):
-    """How _Compact writes an instance of the dataclass cls: (frozen, inline
-    field name or None, ('{"key":' or ',"key":', attribute name) per field in
-    key order, closing text); None when cls is not a dataclass, or is one
-    that JSON writes as the str, number, list or dict it subclasses."""
-    if not dataclasses.is_dataclass(cls) or issubclass(cls, (str, int, float, list, tuple, dict)):
-        return None
-    table = _fields(cls)
-    if table and table[0][1].metadata.get("inline"):
-        return cls.__dataclass_params__.frozen, table[0][1].name, (), "{}"
-    prefixes = tuple(
-        (("," if i else "{") + encode_basestring_ascii(key) + ":", f.name)
-        for i, (key, f, _) in enumerate(sorted(table, key=lambda row: row[0]))
-    )
-    return cls.__dataclass_params__.frozen, None, prefixes, "}" if table else "{}"
-
-
-def compact_json(obj, write) -> None:
-    """Write through write(str), in chunks, the text of
-    json.dumps(obj, default=json_default, sort_keys=True, separators=(",", ":")).
-
-    Each distinct nonzero float is formatted once per call, and each frozen
-    dataclass instance is encoded once per call, keyed by identity (a run
-    reuses its decisions, submissions and coefficients). A chunk is written
-    only at a list-element boundary outside a frozen instance. Like the C
-    encoder, a float, int or str subclass is written as a float, int or str,
-    nan and +-inf as NaN and +-Infinity, and a value JSON cannot hold raises
-    TypeError. Unlike it, a dict key that is not a str raises TypeError (no
-    result has one), and obj must hold no reference cycle.
-    """
-    enc = _Compact(write)
-    enc.value(obj)
-    enc.flush()
-
-
-class _Compact:
-    """The state of one compact_json call. Its methods reach each other
-    through self: nested closures that call each other would form a
-    reference cycle that keeps the pieces and the memos alive until the
-    cyclic collector runs."""
-
-    __slots__ = ("out", "write", "floats", "frozen", "held")
-
-    def __init__(self, write):
-        self.out: list[str] = []
-        self.write = write
-        self.floats: dict[float, str] = {}  # never a zero: 0.0 == -0.0
-        self.frozen: dict[int, str] = {}  # id of a frozen instance -> its text
-        self.held = 0  # frozen instances being encoded; their pieces stay in out
-
-    def flush(self) -> None:
-        self.write("".join(self.out))
-        self.out.clear()
-
-    def value(self, o) -> None:
-        if isinstance(o, float):
-            text = self.floats.get(o)
-            if text is None:
-                text = float.__repr__(o)
-                text = _NON_FINITE.get(text, text)
-                if o:
-                    self.floats[o] = text
-            self.out.append(text)
-            return
-        t = type(o)
-        plan = _plan(t)
-        if plan is not None:
-            self.dataclass(o, plan)
-        elif o is None:
-            self.out.append("null")
-        elif o is True:
-            self.out.append("true")
-        elif o is False:
-            self.out.append("false")
-        elif isinstance(o, str):
-            self.out.append(encode_basestring_ascii(o))
-        elif isinstance(o, int):
-            self.out.append(int.__repr__(o))
-        elif isinstance(o, (list, tuple)):
-            self.array(o)
-        elif isinstance(o, dict):
-            self.object(o)
-        else:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-    def array(self, o) -> None:
-        out = self.out
-        sep = "["
-        for v in o:
-            out.append(sep)
-            sep = ","
-            self.value(v)
-            if len(out) >= _CHUNK and not self.held:
-                self.flush()
-        out.append("]" if o else "[]")
-
-    def object(self, o) -> None:
-        out = self.out
-        sep = "{"
-        for key, v in sorted(o.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ":")
-            sep = ","
-            self.value(v)
-        out.append("}" if o else "{}")
-
-    def dataclass(self, o, plan) -> None:
-        frozen, inline, prefixes, close = plan
-        out = self.out
-        if frozen:
-            text = self.frozen.get(id(o))
-            if text is not None:
-                out.append(text)
-                return
-            start = len(out)
-            self.held += 1
-        if inline is not None:
-            self.object(dict(getattr(o, inline)))
-        else:
-            for prefix, name in prefixes:
-                out.append(prefix)
-                self.value(getattr(o, name))
-            out.append(close)
-        if frozen:
-            self.held -= 1
-            # the instance outlives the call (obj holds it), so its id stays its own
-            text = self.frozen[id(o)] = "".join(out[start:])
-            del out[start:]
-            out.append(text)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping
 
 from .agents import (
@@ -46,7 +47,6 @@ from .dynamics import (
     _bounds_from_json,
     _check_box,
     _count,
-    _fmt,
     _number,
     _real,
     _write_text,
@@ -54,7 +54,7 @@ from .dynamics import (
     eval_feedback,
 )
 from .errors import ArgumentError, NumericalError
-from .schema import compact_json, from_json
+from .schema import from_json, json_default
 
 __all__ = [
     "SimulationConfig",
@@ -427,11 +427,15 @@ def _config_from_dict(data) -> SimulationConfig:
     return from_json(SimulationConfig, data, "config")
 
 
+#: The text of json.dumps(obj, default=json_default, sort_keys=True,
+#: separators=(",", ":")); json.dumps with arguments builds a new encoder
+#: on every call, this one is built once.
+_encode = json.JSONEncoder(default=json_default, sort_keys=True, separators=(",", ":")).encode
+
+
 def result_to_json_dict(result: SimulationResult) -> dict:
     """The content of result.json as plain dicts and lists, keys sorted."""
-    parts: list[str] = []
-    compact_json(result, parts.append)
-    return json.loads("".join(parts))
+    return json.loads(_encode(result))
 
 
 _CHECKED_NUMBERS = ("state.g", "state.c", "state.m", "market_adaptation")
@@ -509,43 +513,112 @@ def result_from_json_dict(data: dict) -> SimulationResult:
     return result
 
 
+def _float_text(x) -> str:
+    """The encoder's text of x: float.__repr__ for a finite float, without
+    a call into the encoder."""
+    return float.__repr__(x) if type(x) is float and math.isfinite(x) else _encode(x)
+
+
+def _step_text(x, texts: dict) -> str:
+    """_float_text(x), kept in texts for the rest of the step unless x is
+    zero: 0.0 == -0.0, but the two have different texts."""
+    text = texts.get(x)
+    if text is None:
+        text = _float_text(x)
+        if x:
+            texts[x] = text
+    return text
+
+
+def _shared_text(o, texts: dict) -> str:
+    """The encoder's text of o, kept in texts by id(o): a run shares its
+    decisions and coefficient sets across agents and steps, and the result
+    holds each, so no id is reused while a writer runs."""
+    text = texts.get(id(o))
+    if text is None:
+        text = texts[id(o)] = _encode(o)
+    return text
+
+
+_RESULT_HEAD = '{"clamp_events":%s,"config":%s,"llm_fallbacks":%s,"profiles":%s,"records":['
+_STEP = '{"agents":{%s},"mean_feedback":%s,"phase":%s,"step":%s,"threshold":%s}'
+_AGENT = (
+    '%s:{"approved":%s,"brr":%s,"compliance_cost":%s,"decision":%s,"f":%s,"market_adaptation":%s,'
+    '"params":%s,"state":{"c":%s,"g":%s,"m":%s,"t":%s}}'
+)
+
+
 def write_result_json(result: SimulationResult, path) -> None:
-    """Compact sorted JSON plus a newline, the text of schema.compact_json,
-    written in chunks as it is encoded."""
+    """Compact sorted JSON plus a newline: the text of json.dumps(result,
+    default=json_default, sort_keys=True, separators=(",", ":")), written
+    one step record at a time. Each agent entry is one format of a fixed
+    template; each decision and coefficient set is encoded once."""
 
     def fill(write):
-        compact_json(result, write)
-        write("\n")
+        write(_RESULT_HEAD % tuple(
+            _encode(v) for v in (result.clamp_events, result.config, result.llm_fallbacks, result.profiles)
+        ))
+        shared: dict[int, str] = {}
+        sep = ""
+        for rec in result.records:
+            texts: dict[float, str] = {}
+            entries = []
+            for aid, ar in sorted(rec.agents.items()):
+                state, approved, brr = ar.state, ar.approved, ar.brr
+                m = _float_text(state.m)
+                entries.append(_AGENT % (
+                    encode_basestring_ascii(aid),
+                    "null" if approved is None else "true" if approved is True
+                    else "false" if approved is False else _encode(approved),
+                    "null" if brr is None else _step_text(brr, texts),
+                    _float_text(ar.compliance_cost),
+                    _shared_text(ar.decision, shared),
+                    _float_text(ar.f),
+                    m if ar.market_adaptation is state.m else _float_text(ar.market_adaptation),
+                    _shared_text(ar.params, shared),
+                    _float_text(state.c),
+                    _float_text(state.g),
+                    m,
+                    _step_text(state.t, texts),
+                ))
+            write(sep + _STEP % (
+                ",".join(entries), _float_text(rec.mean_feedback), _encode(rec.phase),
+                _encode(rec.step), _float_text(rec.threshold),
+            ))
+            sep = ","
+        write("]}\n")
 
     _write_text(path, fill)
 
 
 def write_result_csv(result: SimulationResult, path) -> None:
-    """Per-agent trajectory rows: step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation."""
-    # M and adaptation are one value and a step's ratios repeat across agents:
-    # each nonzero one is formatted once. -0.0 == 0.0, so zeros are not kept.
-    texts: dict[float, str] = {}
+    """Per-agent trajectory rows: step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation,
+    one step at a time. Each number is written as "%.17g", the text of format(x, ".17g")."""
 
-    def fmt(x: float) -> str:
-        text = texts.get(x)
-        if text is None:
-            text = _fmt(x)
-            if x:
-                texts[x] = text
-        return text
-
-    def rows():
+    def steps():
         yield "step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation\n"
         for rec in result.records:
-            threshold = _fmt(rec.threshold)
-            for aid in sorted(rec.agents):
-                ar = rec.agents[aid]
-                brr = "" if ar.brr is None else fmt(ar.brr)
-                approved = "" if ar.approved is None else ("true" if ar.approved else "false")
-                yield (
-                    f"{rec.step},{aid},{_fmt(ar.state.g)},{_fmt(ar.state.c)},"
-                    f"{fmt(ar.state.m)},{_fmt(ar.f)},{brr},{approved},"
-                    f"{threshold},{_fmt(ar.compliance_cost)},{fmt(ar.market_adaptation)}\n"
-                )
+            threshold = "%.17g" % rec.threshold
+            # a step's ratios repeat across agents; -0.0 == 0.0, so zeros are not kept
+            brrs: dict[float, str] = {}
+            rows = []
+            for aid, ar in sorted(rec.agents.items()):
+                state, brr = ar.state, ar.brr
+                m = "%.17g" % state.m
+                if brr is None:
+                    brr_text = ""
+                else:
+                    brr_text = brrs.get(brr)
+                    if brr_text is None:
+                        brr_text = "%.17g" % brr
+                        if brr:
+                            brrs[brr] = brr_text
+                rows.append("%d,%s,%.17g,%.17g,%s,%.17g,%s,%s,%s,%.17g,%s\n" % (
+                    rec.step, aid, state.g, state.c, m, ar.f, brr_text,
+                    "" if ar.approved is None else "true" if ar.approved else "false",
+                    threshold, ar.compliance_cost,
+                    m if ar.market_adaptation is state.m else "%.17g" % ar.market_adaptation,
+                ))
+            yield "".join(rows)
 
-    _write_text(path, rows())
+    _write_text(path, steps())

@@ -136,7 +136,7 @@ class TestLevenbergMarquardt:
     def test_quadratic_bowl(self):
         resid = lambda x: x - 0.5
         lo, hi = np.zeros(4), np.ones(4)
-        x, f, iters, conv = _levenberg_marquardt(resid, np.full(4, 0.9), lo, hi, 500, 1e-12)
+        x, _, f, iters, conv = _levenberg_marquardt(resid, np.full(4, 0.9), lo, hi, 500, 1e-12)
         assert conv
         assert f < 1e-10
         assert np.allclose(x, 0.5, atol=1e-4)
@@ -145,7 +145,7 @@ class TestLevenbergMarquardt:
         # unconstrained minimum at -1 lies outside; projection pins x at 0
         resid = lambda x: x + 1.0
         lo, hi = np.zeros(3), np.full(3, 5.0)
-        x, f, _, _ = _levenberg_marquardt(resid, np.full(3, 2.0), lo, hi, 500, 1e-12)
+        x, _, f, _, _ = _levenberg_marquardt(resid, np.full(3, 2.0), lo, hi, 500, 1e-12)
         assert np.all(x >= lo) and np.all(x <= hi)
         assert np.allclose(x, 0.0, atol=1e-6)
 
@@ -154,7 +154,7 @@ class TestLevenbergMarquardt:
             return np.concatenate([10.0 * (x[1:] - x[:-1] ** 2), 1.0 - x[:-1]])
 
         lo, hi = np.full(4, 0.0), np.full(4, 2.0)
-        x, f, iters, conv = _levenberg_marquardt(resid, np.full(4, 0.2), lo, hi, 4000, 1e-12)
+        x, _, f, iters, conv = _levenberg_marquardt(resid, np.full(4, 0.2), lo, hi, 4000, 1e-12)
         assert f < 1e-8
         assert np.allclose(x, 1.0, atol=1e-3)
 
@@ -205,7 +205,7 @@ class TestFit:
         monkeypatch.setattr(calibration, "_levenberg_marquardt", recording)
         res = fit(obs, guess, bounds=bounds, options=FitOptions(max_iter=8, tol=1e-12, restarts=3, seed=1))
         assert len(starts) == 2
-        (_, first_f, first_iters, first_conv), (x, f, iters, conv) = starts
+        (_, _, first_f, first_iters, first_conv), (x, _, f, iters, conv) = starts
         assert not first_conv and conv and f < first_f
         assert res.params == ModelParameters(*x.tolist())
         assert res.objective_value == f
@@ -293,6 +293,22 @@ class TestFit:
         assert math.isfinite(res.objective_value)
         assert res.objective_value <= objective(guess, obs, 0.05)[0]
 
+    def test_a_start_that_diverges_raises(self):
+        # resid scores the diverged guess as +inf so that restarts could
+        # run; with none, fit integrates it again to raise the error itself
+        obs = make_noiseless_obs(horizon=2.0)
+        wide = {name: (0.0, 1e300) for name in PARAM_FIELDS}
+        with pytest.raises(NumericalError, match="non-finite state"):
+            fit(obs, TRUE_PARAMS.replace(alpha3=1e300), bounds=wide, options=FitOptions(max_iter=3, restarts=0))
+
+    def test_components_are_those_of_the_winning_point(self):
+        # the components come from the residuals the optimizer last
+        # evaluated, not from a second integration
+        obs = make_noiseless_obs(horizon=2.0)
+        guess = ModelParameters(**{n: getattr(TRUE_PARAMS, n) * 1.05 for n in PARAM_FIELDS})
+        res = fit(obs, guess, options=FitOptions(max_iter=5, tol=0.0, restarts=0))
+        assert (res.objective_value, res.components) == objective(res.params, obs, 0.05)
+
     def test_recovers_every_coefficient_on_noiseless_data(self):
         obs = make_noiseless_obs()
         guess = ModelParameters(**{n: getattr(TRUE_PARAMS, n) * 1.10 for n in PARAM_FIELDS})
@@ -346,8 +362,8 @@ class TestFit:
 
         monkeypatch.setattr(calibration, "_integrate_raw", counting)
         res = fit(obs, TRUE_PARAMS, options=FitOptions(restarts=3))
-        # one evaluation at the guess, one for the reported objective
-        assert len(calls) == 2
+        # one evaluation at the guess, whose residuals give the reported objective
+        assert len(calls) == 1
         assert res.iterations == 0 and res.restarts_used == 0 and res.converged
 
     def test_nonpositive_dt_rejected(self):

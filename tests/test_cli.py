@@ -674,6 +674,8 @@ class TestLlmPolicyViaCli:
         assert data["llm_fallbacks"] == 2 * 10
         decisions = [ar["decision"] for rec in data["records"] for ar in rec["agents"].values()]
         assert [d["fallback"] for d in decisions] == ["parse"] * 20
+        # the reason names a refused number by its size, never by its digits
+        assert all(len(d["rationale"]) < 300 for d in decisions)
 
 
 class TestExitCodes:

@@ -1,9 +1,13 @@
 """The JSON outputs: result.json is compact sorted JSON plus a newline, and
 fit.json and metrics.json are json.dumps(obj, sort_keys=True, indent=2)
 plus a newline. Every output is the text json.dumps gives for its own
-parsed content, and a rerun writes the same bytes. result.json is written by
-schema.compact_json, which must give exactly json.dumps's compact text."""
+parsed content, and a rerun writes the same bytes. result.json is written one
+template per agent entry by simulation.write_result_json, which must give
+exactly json.dumps's compact text, and trajectories.csv one template per row
+by write_result_csv, which must give the text of the row formatter it
+replaced."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -13,18 +17,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import regflow.simulation
 from regflow.agents import DEFAULT_PROFILES, AgentDecision, ClientConfig, ParameterAdjustment
 from regflow.brr import Submission
 from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.cli import _write_json, main
 from regflow.corpus import build_default_corpus
-from regflow.dynamics import DEFAULT_PARAMETERS, SystemState
-from regflow.schema import compact_json, json_default
+from regflow.dynamics import DEFAULT_PARAMETERS, PARAM_FIELDS, ModelParameters, SystemState
+from regflow.schema import json_default
 from regflow.simulation import (
+    AgentStepRecord,
     SimulationConfig,
+    SimulationResult,
+    StepRecord,
     default_initial,
     run,
     run_scripted,
+    write_result_csv,
     write_result_json,
 )
 
@@ -39,12 +48,6 @@ def reference(obj) -> str:
 
 def compact(obj) -> str:
     return json.dumps(obj, default=json_default, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def compact_text(obj) -> str:
-    parts = []
-    compact_json(obj, parts.append)
-    return "".join(parts) + "\n"
 
 
 awkward_text = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "naïve", " ", "\U0001f600", '"\\/\n\t'])
@@ -119,21 +122,139 @@ class TestEncoderMatchesJson:
         assert path.read_text() == "earlier\n"
 
 
-class TestCompactJson:
-    """schema.compact_json, the encoder of result.json: its text is that of
-    json.dumps(obj, default=json_default, sort_keys=True, separators=(",", ":"))."""
+def reference_csv(result) -> str:
+    """trajectories.csv as the row formatter before write_result_csv wrote
+    one template per row: an f-string per row, each number through
+    format(x, ".17g"), the text of each nonzero M and adaptation kept."""
+    texts = {}
 
-    @settings(max_examples=300, deadline=None)
-    @given(tree=trees)
-    @example(tree=[0.0, -0.0, {"a": -0.0, "b": 0.0}, np.float64(-0.0), 0.0])
-    @example(tree=[-0.0, 0.0, 1.5, np.float64(1.5), 1.5, -1.5])
-    @example(tree=[SHARED, {"again": SHARED}, (SHARED,)])
-    @example(tree={"a": math.nan, "b": math.inf, "c": -math.inf, "d": [math.nan, -math.inf]})
-    @example(tree=[(1, True, 0, False, (None,)), 2**100, -(2**90), 1.0, 1])
-    def test_equals_json_dumps(self, tree):
-        assert compact_text(tree) == compact(tree)
+    def fmt(x):
+        text = texts.get(x)
+        if text is None:
+            text = format(x, ".17g")
+            if x:
+                texts[x] = text
+        return text
 
-    def test_subclasses_are_written_as_their_json_type(self):
+    def _fmt(x):
+        return format(x, ".17g")
+
+    rows = ["step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation\n"]
+    for rec in result.records:
+        threshold = _fmt(rec.threshold)
+        for aid in sorted(rec.agents):
+            ar = rec.agents[aid]
+            brr = "" if ar.brr is None else fmt(ar.brr)
+            approved = "" if ar.approved is None else ("true" if ar.approved else "false")
+            rows.append(
+                f"{rec.step},{aid},{_fmt(ar.state.g)},{_fmt(ar.state.c)},"
+                f"{fmt(ar.state.m)},{_fmt(ar.f)},{brr},{approved},"
+                f"{threshold},{_fmt(ar.compliance_cost)},{fmt(ar.market_adaptation)}\n"
+            )
+    return "".join(rows)
+
+
+def written(writer, result, path) -> str:
+    writer(result, path)
+    return path.read_bytes().decode("utf-8")
+
+
+any_float = st.floats() | st.floats().map(np.float64) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+# what SystemState and ModelParameters accept: finite and >= 0, so -0.0 too
+state_float = (
+    st.floats(min_value=0.0, max_value=1e300)
+    | st.floats(min_value=0.0, max_value=1e300).map(np.float64)
+    | st.sampled_from([0.0, -0.0])
+)
+agent_ids = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+decisions = st.builds(
+    AgentDecision,
+    comply=st.just(True),
+    adjustments=st.builds(
+        ParameterAdjustment, st.dictionaries(st.sampled_from(PARAM_FIELDS), any_float.filter(math.isfinite), max_size=3)
+    ),
+    submission=st.builds(Submission, agent_ids, *[st.integers(1, 10)] * 4, regulation_ids=st.just(("R1",))),
+    rationale=awkward_text,
+    warnings=st.lists(awkward_text, max_size=2).map(tuple),
+    fallback=st.none() | st.just("parse"),
+) | st.builds(AgentDecision, comply=st.just(False), rationale=awkward_text)
+coefficients = st.builds(ModelParameters, *[state_float] * len(PARAM_FIELDS))
+
+
+@st.composite
+def results(draw):
+    """A hand-built SimulationResult whose steps draw each decision and
+    coefficient set either from a pool the whole result shares or afresh."""
+    ids = draw(st.lists(agent_ids, min_size=1, max_size=4, unique=True))
+    pool_decisions = draw(st.lists(decisions, min_size=1, max_size=3))
+    pool_coefficients = draw(st.lists(coefficients, min_size=1, max_size=3))
+    records = []
+    for step in range(draw(st.integers(1, 3))):
+        # agents of a step often share a time and a ratio, signed zeros among them
+        times = draw(st.lists(state_float, min_size=1, max_size=2))
+        ratios = draw(st.lists(any_float, min_size=1, max_size=2))
+        agents = {}
+        for aid in ids:
+            t = draw(st.sampled_from(times) | state_float)
+            state = SystemState(t, *(draw(state_float) for _ in range(3)))
+            adaptation = draw(st.none() | any_float)
+            agents[aid] = AgentStepRecord(
+                params=draw(st.sampled_from(pool_coefficients) | coefficients),
+                state=state,
+                f=draw(any_float),
+                decision=draw(st.sampled_from(pool_decisions) | decisions),
+                brr=draw(st.none() | st.sampled_from(ratios) | any_float),
+                approved=draw(st.sampled_from([None, True, False])),
+                compliance_cost=draw(any_float),
+                market_adaptation=state.m if adaptation is None else adaptation,
+            )
+        records.append(StepRecord(step, draw(awkward_text), agents, draw(any_float), draw(any_float)))
+    return SimulationResult(
+        records, SimulationConfig(), list(DEFAULT_PROFILES)[:2], draw(st.integers(0, 99)), draw(st.integers(0, 99))
+    )
+
+
+def one_result(**changes) -> SimulationResult:
+    """A one-agent, one-step result; changes replace fields of its agent entry."""
+    fields = dict(
+        params=DEFAULT_PARAMETERS,
+        state=SystemState(0.05, 0.5, 0.4, 0.3),
+        f=0.25,
+        decision=AgentDecision(comply=True, submission=SHARED),
+        brr=1.5,
+        approved=True,
+        compliance_cost=0.125,
+        market_adaptation=0.3,
+    )
+    fields.update(changes)
+    record = StepRecord(0, "voluntary", {"A": AgentStepRecord(**fields)}, 1.0, 0.25)
+    return SimulationResult([record], SimulationConfig(), list(DEFAULT_PROFILES)[:1])
+
+
+def signed_zeros_result() -> SimulationResult:
+    """Two agents whose time, ratio and adaptation are 0.0 and -0.0."""
+    result = one_result(state=SystemState(0.0, 0.5, 0.4, -0.0), brr=0.0, market_adaptation=0.0)
+    agents = result.records[0].agents
+    agents["B"] = dataclasses.replace(
+        agents["A"], state=SystemState(-0.0, 0.5, 0.4, 0.0), brr=-0.0, market_adaptation=-0.0
+    )
+    return result
+
+
+class TestResultWriter:
+    """simulation.write_result_json writes exactly json.dumps(result,
+    default=json_default, sort_keys=True, separators=(",", ":")) and a
+    newline; write_result_csv writes exactly what reference_csv writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(result=results())
+    @example(result=signed_zeros_result())
+    def test_equals_json_dumps(self, tmp_path_factory, result):
+        path = tmp_path_factory.mktemp("writer")
+        assert written(write_result_json, result, path / "result.json") == compact(result)
+        assert written(write_result_csv, result, path / "trajectories.csv") == reference_csv(result)
+
+    def test_subclasses_are_written_as_their_json_type(self, tmp_path):
         class Text(str):
             def __str__(self):
                 return "other"
@@ -142,22 +263,32 @@ class TestCompactJson:
             def __repr__(self):
                 return "other"
 
-        tree = {"s": Text("x"), "n": Count(5), "f": np.float64(0.1), "l": [Text("y")]}
-        assert compact_text(tree) == compact(tree) == '{"f":0.1,"l":["y"],"n":5,"s":"x"}\n'
+        result = one_result(f=np.float64(0.1), compliance_cost=Count(5), approved=Count(1))
+        result.records[0].phase = Text("x")
+        result.clamp_events = Count(2)
+        text = written(write_result_json, result, tmp_path / "result.json")
+        assert text == compact(result)
+        assert '"approved":1,' in text and '"compliance_cost":5,' in text and '"phase":"x"' in text
 
     @pytest.mark.parametrize("value", UNSUPPORTED)
-    def test_unsupported_values_raise_type_error(self, value):
+    def test_unsupported_values_raise_type_error(self, tmp_path, value):
+        # a value of any type but float goes through json.dumps's encoder,
+        # which refuses what JSON cannot hold
         with pytest.raises(TypeError):
-            compact_json(value, lambda text: None)
+            json.dumps(value, default=json_default)
+        with pytest.raises(TypeError):
+            write_result_json(one_result(approved=value), tmp_path / "result.json")
 
-    def test_chunks_break_at_list_elements(self):
-        tree = {"rows": [[float(i), "x", i] for i in range(3000)]}
+    def test_writes_one_step_record_at_a_time(self, monkeypatch):
+        profiles = list(DEFAULT_PROFILES)
+        result = run(small_config(), profiles, default_initial(profiles), CORPUS)
         parts = []
-        compact_json(tree, parts.append)
-        assert len(parts) > 1
-        # each chunk after the first starts where a list element ends
-        assert all(part[0] in ",]" for part in parts[1:])
-        assert "".join(parts) + "\n" == compact(tree)
+        monkeypatch.setattr(regflow.simulation, "_write_text", lambda path, fill: fill(parts.append))
+        write_result_json(result, "unused")
+        assert len(parts) == 2 + len(result.records)
+        assert parts[0].endswith('"records":[') and parts[-1] == "]}\n"
+        assert all(part.startswith(("" if i == 0 else ",") + '{"agents":{') for i, part in enumerate(parts[1:-1]))
+        assert "".join(parts) == compact(result)
 
 
 def small_config(**overrides):

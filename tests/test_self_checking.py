@@ -265,6 +265,8 @@ OBS = generate_synthetic(DEFAULT_PARAMETERS, DEFAULT_INITIAL_STATE, 1.0, 0.05, 2
         (lambda: advance(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, 0.05, True), "substeps must be an integer"),
         (lambda: advance(DEFAULT_INITIAL_STATE, DEFAULT_PARAMETERS, True, 1), "dt must be a number"),
         (lambda: decide(True, 1.0), "brr must be a number, got True"),
+        (lambda: decide(10**400, 1.0), "brr must be a number within the float range, got an integer of 401 digits"),
+        (lambda: decide(-(10**5000), 1.0), "brr must be a number within the float range, got an integer of 16610 bits"),
         (lambda: decide(4.0, math.nan), "threshold must be positive"),
         (lambda: active_phase(True, Schedule()), "t must be an integer, got True"),
         (lambda: active_phase(-1, Schedule()), "t must be >= 0, got -1"),
