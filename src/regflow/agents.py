@@ -125,8 +125,9 @@ class ParameterAdjustment:
         for name, delta in self.deltas.items():
             if name not in PARAM_FIELDS:
                 raise ArgumentError(f"unknown parameter name {name!r}")
-            if not math.isfinite(delta if type(delta) is float else _real(delta, f"delta for {name}")):
-                raise ArgumentError(f"delta for {name} is not finite: {delta!r}")
+            # a finite float passes; _number checks and names anything else
+            if type(delta) is not float or not math.isfinite(delta):
+                _number(delta, f"delta for {name}", -math.inf)
 
     def __reduce__(self):
         return (ParameterAdjustment, (dict(self.deltas),))

@@ -20,13 +20,18 @@ the grouping shown.
 Integration is fixed-step classical RK4. After every step each component
 is clamped at zero (the quantities are semantically non-negative) and the
 number of clamp events is counted so runs can be audited. All functions
-here are pure; identical inputs give bit-identical outputs.
+here are pure; identical inputs give bit-identical outputs. The one state
+the module keeps is a memo of the time terms 1 - exp(-phi1 * t) of the two
+runs integrated last (see _time_terms): they depend on no state, so agents
+and integrations that share phi1, t0, h and the step count share them, and
+a result never depends on what ran before it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
@@ -282,6 +287,54 @@ def eval_feedback(state: SystemState, p: ModelParameters) -> float:
 # integration
 # ---------------------------------------------------------------------------
 
+#: Runs of at most this many steps keep their time terms in the memo, as a
+#: list of about 600 KB at most; a longer run computes them as it goes.
+_TERMS_STEPS = 4096
+# the exact bits of (phi1, t0, h, n): 0.0 == -0.0, so a float key could
+# hand one the other's terms
+_terms_key = struct.Struct("<3dq").pack
+# (key, terms or None) of the two runs whose time terms were asked for
+# last, newest first. Two, because calibration returns to its base point
+# after its phi1 probe.
+_recent_terms: tuple = ((None, None), (None, None))
+
+
+def _time_table(nf1: float, t0: float, h: float, n: int) -> list:
+    """[(w(t), w(t + h/2), w(t + h))] for each step k of an n-step run from
+    t0 in steps of h, where t = t0 + k*h and w(t) = 1 - exp(nf1 * t), the
+    factor of alpha1 in dg/dt, each as _rk4_run computes it inline. From
+    t0 >= 0 every exponent is <= 0, where math.exp equals the guarded _exp."""
+    exp = math.exp if t0 >= 0.0 else _exp
+    half = 0.5 * h
+    return [
+        (1.0 - exp(nf1 * t), 1.0 - exp(nf1 * (t + half)), 1.0 - exp(nf1 * (t + h)))
+        for t in [t0 + k * h for k in range(n)]
+    ]
+
+
+def _time_terms(phi1: float, t0: float, h: float, n: int) -> list | None:
+    """The time terms of an n-step run as _time_table gives them, or None
+    where the caller computes them as it goes: for a run whose key is not
+    among the last two, so a run that is never repeated builds no table,
+    and for a run of more than _TERMS_STEPS steps. A new key replaces the
+    older one; a kept key's table is built on its second sight. Callers
+    only read the table."""
+    global _recent_terms
+    if n > _TERMS_STEPS:
+        return None
+    key = _terms_key(phi1, t0, h, n)
+    newest, older = _recent_terms
+    if newest[0] != key:
+        if older[0] != key:
+            _recent_terms = (key, None), newest
+            return None
+        newest, older = older, newest
+    if newest[1] is None:
+        newest = key, _time_table(-phi1, t0, h, n)
+    _recent_terms = newest, older
+    return newest[1]
+
+
 def _rk4_run(
     p: ModelParameters,
     t0: float,
@@ -302,7 +355,8 @@ def _rk4_run(
 
     Each stage evaluates f, dg, dc and dm as the module docstring writes
     them, in that order and with its grouping, so a stage is bit for bit
-    the right-hand side at the stage point.
+    the right-hand side at the stage point. The factor 1 - exp(-phi1 * t)
+    of dg comes from _time_terms when it keeps the run's time terms.
     A step runs on math.exp and is redone with the guarded _exp if
     math.exp overflows or a stage g or c is negative: only then can an
     exponent exceed 709, where _exp gives inf but math.exp still gives a
@@ -314,23 +368,29 @@ def _rk4_run(
     g1, g2 = p.gamma1, p.gamma2
     half = 0.5 * h
     sixth = h / 6.0
-    exps = (math.exp if t0 >= 0.0 else _exp, _exp)
+    fast_exp = math.exp if t0 >= 0.0 else _exp
     inf = math.inf
     cost = 0.0
     clamps = 0
+    terms = _time_terms(p.phi1, t0, h, n)
     for k in range(n):
-        t = t0 + k * h
-        th = t + half
-        for exp in exps:
+        if terms is None:
+            # the step's time terms as _time_table computes them
+            t = t0 + k * h
+            w1, w2, w4 = 1.0 - fast_exp(nf1 * t), 1.0 - fast_exp(nf1 * (t + half)), 1.0 - fast_exp(nf1 * (t + h))
+        else:
+            w1, w2, w4 = terms[k]
+        exp = fast_exp
+        while True:
             try:
                 # stage 1 at (t, g, c, m); d is also the cost integrand
                 f = a4 * (m * (1.0 - exp(nf4 * c)) / (1.0 + g2 * c))
                 d = b2 * (c / (1.0 + g1 * m))
-                k1g = a1 * (1.0 - exp(nf1 * t)) - b1 * f
+                k1g = a1 * w1 - b1 * f
                 k1c = a2 * g * (1.0 - exp(nf2 * c)) - d
                 k1m = a3 * c * (1.0 - exp(nf3 * g)) - b3 * m
                 # stages 2 and 3 share the time t + h/2
-                drive = a1 * (1.0 - exp(nf1 * th))
+                drive = a1 * w2
                 sg2 = g + half * k1g
                 sc2 = c + half * k1c
                 sm2 = m + half * k1m
@@ -349,13 +409,19 @@ def _rk4_run(
                 sc4 = c + h * k3c
                 sm4 = m + h * k3m
                 f = a4 * (sm4 * (1.0 - exp(nf4 * sc4)) / (1.0 + g2 * sc4))
-                k4g = a1 * (1.0 - exp(nf1 * (t + h))) - b1 * f
+                k4g = a1 * w4 - b1 * f
                 k4c = a2 * sg4 * (1.0 - exp(nf2 * sc4)) - b2 * (sc4 / (1.0 + g1 * sm4))
                 k4m = a3 * sc4 * (1.0 - exp(nf3 * sg4)) - b3 * sm4
             except OverflowError:
+                # _exp never overflows; an int coefficient past the float
+                # range does, and would loop here
+                if exp is _exp:
+                    raise
+                exp = _exp
                 continue
-            if not (sg2 < 0.0 or sc2 < 0.0 or sg3 < 0.0 or sc3 < 0.0 or sg4 < 0.0 or sc4 < 0.0):
+            if exp is _exp or not (sg2 < 0.0 or sc2 < 0.0 or sg3 < 0.0 or sc3 < 0.0 or sg4 < 0.0 or sc4 < 0.0):
                 break
+            exp = _exp
         cost += d * h
         ng = g + sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
         nc = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)

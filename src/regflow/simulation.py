@@ -591,12 +591,22 @@ def write_result_json(result: SimulationResult, path) -> None:
     _write_text(path, fill)
 
 
+def _csv_field(text: str) -> str:
+    """text as one field of a CSV row, quoted where csv.writer's default
+    QUOTE_MINIMAL quotes it: when it holds a comma, a double quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_result_csv(result: SimulationResult, path) -> None:
     """Per-agent trajectory rows: step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation,
-    one step at a time. Each number is written as "%.17g", the text of format(x, ".17g")."""
+    one step at a time. Each number is written as "%.17g", the text of format(x, ".17g");
+    each agent id as _csv_field writes it, so csv.reader reads it back whole."""
 
     def steps():
         yield "step,agent,G,C,M,F,brr,approved,threshold,cost,adaptation\n"
+        agent_fields: dict[str, str] = {}
         for rec in result.records:
             threshold = "%.17g" % rec.threshold
             # a step's ratios repeat across agents; -0.0 == 0.0, so zeros are not kept
@@ -604,6 +614,9 @@ def write_result_csv(result: SimulationResult, path) -> None:
             rows = []
             for aid, ar in sorted(rec.agents.items()):
                 state, brr = ar.state, ar.brr
+                agent = agent_fields.get(aid)
+                if agent is None:
+                    agent = agent_fields[aid] = _csv_field(aid)
                 m = "%.17g" % state.m
                 if brr is None:
                     brr_text = ""
@@ -614,7 +627,7 @@ def write_result_csv(result: SimulationResult, path) -> None:
                         if brr:
                             brrs[brr] = brr_text
                 rows.append("%d,%s,%.17g,%.17g,%s,%.17g,%s,%s,%s,%.17g,%s\n" % (
-                    rec.step, aid, state.g, state.c, m, ar.f, brr_text,
+                    rec.step, agent, state.g, state.c, m, ar.f, brr_text,
                     "" if ar.approved is None else "true" if ar.approved else "false",
                     threshold, ar.compliance_cost,
                     m if ar.market_adaptation is state.m else "%.17g" % ar.market_adaptation,

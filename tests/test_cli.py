@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -310,6 +311,22 @@ def test_simulate_with_valid_profiles_file(tmp_path):
         "ai_investment_fraction": 0.05,
         "focus": "",
     }
+
+
+def test_simulate_quotes_agent_ids_in_trajectories_csv(tmp_path):
+    # ids with a comma, a newline or a quote are quoted as csv.writer quotes
+    # them, so every row reads back whole; a plain id is written as it is
+    ids = ["M,1", "M\n2", 'M"3', "M\r4", "B"]
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps([{**PROFILE, "id": aid} for aid in ids]))
+    assert main(["simulate", "--profiles", str(path), "--steps", "2", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "trajectories.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 11
+    assert [len(row) for row in rows] == [11] * 10
+    assert [row[1] for row in rows] == sorted(ids) * 2
+    text = (tmp_path / "trajectories.csv").read_text(encoding="utf-8")
+    assert '\n0,B,' in text and '\n0,"M""3",' in text
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from regflow.dynamics import (
     ModelParameters,
     SystemState,
     _integrate_raw,
+    _rk4_run,
     _step_count,
     advance,
     eval_feedback,
@@ -470,6 +472,101 @@ class TestKernelMatchesReference:
             assert outcome(kernel_integrate_raw, t0, 1.0, 1.0, 1.0, p, 3, 0.25) == outcome(
                 ref_integrate_raw, t0, 1.0, 1.0, 1.0, p, 3, 0.25
             )
+
+
+
+def kernel_run(p, t0, g, c, m, h, n):
+    """_rk4_run as ref_run reports it: (states after each step, cost, clamps)."""
+    states = []
+    cost, clamps = _rk4_run(p, t0, g, c, m, h, n, states)[3:]
+    return states, cost, clamps
+
+
+def run_bits(run, *args):
+    """A run's states, cost and clamps as bits, or its NumericalError's step."""
+    got = outcome(run, *args)
+    if got[0] == "NumericalError":
+        return got
+    states, cost, clamps = got
+    return [bits(*row) for row in states], bits(cost), clamps
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+time_call = st.fixed_dictionaries({
+    "p": params_st,
+    "alpha1": signed_zero | coefficient("alpha1"),
+    "phi1": signed_zero | st.sampled_from([1.0, 2.5]) | coefficient("phi1"),
+    "t0": signed_zero | st.sampled_from([-709.5, -3.0]) | st.floats(-50.0, 50.0),
+    "h": st.floats(0.001, 2.0),
+    "n": st.integers(1, 12),
+    "state": st.tuples(st.just(-0.0) | component_st, component_st, component_st),
+    # which of alpha1, phi1, t0, h and n the call takes from the one before
+    "kept": st.sets(st.sampled_from(["alpha1", "phi1", "t0", "h", "n"])),
+    "via_advance": st.booleans(),
+})
+
+
+class TestTimeTermMemo:
+    """The time terms 1 - exp(-phi1 * t) are shared between runs with the
+    same bits of phi1, t0 and h and the same step count; every run still
+    equals the reference bit for bit, whatever ran before it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(calls=st.lists(time_call, min_size=2, max_size=5))
+    def test_call_sequences_match_reference(self, calls):
+        prev = None
+        for call in calls:
+            if prev is not None:
+                call = {**call, **{name: prev[name] for name in call["kept"]}}
+            p = call["p"].replace(alpha1=call["alpha1"], phi1=call["phi1"])
+            t0, h, n = call["t0"], call["h"], call["n"]
+            if call["via_advance"] and t0 >= 0.0:
+                state = SystemState(t0, *(abs(x) for x in call["state"]))
+                assert outcome(kernel_advance, state, p, h * n, n) == outcome(ref_advance, state, p, h * n, n)
+            else:
+                args = (p, t0, *call["state"], h, n)
+                assert run_bits(kernel_run, *args) == run_bits(ref_run, *args)
+            prev = call
+
+    def test_signed_zeros_keep_their_sign(self):
+        # 0.0 == -0.0, but a zero drive alpha1 * (1 - exp(-phi1 * t)) leaves
+        # g = -0.0 as -0.0 only when alpha1 is -0.0 too; each run repeats or
+        # flips the sign of alpha1, phi1 or t0 of the one before
+        for alpha1, phi1, t0 in [(0.0, 0.5, 0.0), (0.0, 0.5, 0.0), (-0.0, 0.5, 0.0), (-0.0, 0.5, 0.0),
+                                 (0.0, 0.5, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, 0.0), (0.0, -0.0, 0.0)]:
+            p = ModelParameters(alpha1=alpha1, phi1=phi1)
+            args = (p, t0, -0.0, 0.0, 0.0, 0.1, 2)
+            assert run_bits(kernel_run, *args) == run_bits(ref_run, *args)
+            assert run_bits(kernel_run, *args)[0][-1] == bits(math.copysign(0.0, alpha1), 0.0, 0.0)
+
+    def test_redo_after_a_memo_hit(self):
+        # the same key three times, so the last runs on the kept terms; the
+        # last start drags g through zero, so stages go negative and each
+        # such step is redone with the guarded exp
+        p = ModelParameters(alpha1=0.3, phi1=0.7, alpha4=1.0, phi4=5.0, beta1=1.0)
+        for state in (SystemState(0.0, 3.0, 0.0, 0.0), SystemState(0.0, 3.0, 0.0, 0.0), SystemState(0.0, 0.5, 1.0, 1.0)):
+            got = kernel_advance(state, p, 2.0, 20)
+            assert got == ref_advance(state, p, 2.0, 20)
+        assert got[1] > 0
+        # here only the redo's inf makes the step non-finite
+        p = ModelParameters(alpha1=0.2, alpha3=1e-300, alpha4=1.0, phi3=1.0, phi4=1.0, beta1=1.0)
+        state = SystemState(0.0, 1.0, 1.0, 1.0)
+        dt = 2.0 * 710.4 / (1.0 - math.exp(-1.0))
+        for _ in range(3):
+            assert outcome(kernel_advance, state, p, dt, 1) == ("NumericalError", 0)
+
+    def test_a_long_run_builds_no_table(self):
+        # run twice, as a memo that kept it would build the table on the
+        # second sight; a table of 30,000 steps' terms takes about 4.3 MB
+        state = SystemState(0.0, 0.5, 0.5, 0.5)
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                advance(state, DEFAULT_PARAMETERS, 1.0, 30_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCsvExport:

@@ -5,9 +5,11 @@ parsed content, and a rerun writes the same bytes. result.json is written one
 template per agent entry by simulation.write_result_json, which must give
 exactly json.dumps's compact text, and trajectories.csv one template per row
 by write_result_csv, which must give the text of the row formatter it
-replaced."""
+replaced, with each agent id quoted as csv.writer quotes it."""
 
+import csv
 import dataclasses
+import io
 import gc
 import json
 import math
@@ -122,10 +124,18 @@ class TestEncoderMatchesJson:
         assert path.read_text() == "earlier\n"
 
 
+def csv_id(aid) -> str:
+    """aid as csv.writer's default dialect writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([aid, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def reference_csv(result) -> str:
     """trajectories.csv as the row formatter before write_result_csv wrote
     one template per row: an f-string per row, each number through
-    format(x, ".17g"), the text of each nonzero M and adaptation kept."""
+    format(x, ".17g"), the text of each nonzero M and adaptation kept; the
+    agent id as csv_id writes it."""
     texts = {}
 
     def fmt(x):
@@ -147,7 +157,7 @@ def reference_csv(result) -> str:
             brr = "" if ar.brr is None else fmt(ar.brr)
             approved = "" if ar.approved is None else ("true" if ar.approved else "false")
             rows.append(
-                f"{rec.step},{aid},{_fmt(ar.state.g)},{_fmt(ar.state.c)},"
+                f"{rec.step},{csv_id(aid)},{_fmt(ar.state.g)},{_fmt(ar.state.c)},"
                 f"{fmt(ar.state.m)},{_fmt(ar.f)},{brr},{approved},"
                 f"{threshold},{_fmt(ar.compliance_cost)},{fmt(ar.market_adaptation)}\n"
             )

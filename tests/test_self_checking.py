@@ -97,7 +97,7 @@ def test_parameter_adjustment_rejects_an_unknown_name(name):
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(PARAM_FIELDS), delta=st.one_of(NON_FINITE, st.sampled_from([True, "x"])))
 def test_parameter_adjustment_rejects_a_non_finite_delta(name, delta):
-    need = "is not finite" if type(delta) is float else "must be a number"
+    need = "must be finite" if type(delta) is float else "must be a number"
     rejects(ArgumentError, f"delta for {name} {need}", ParameterAdjustment({}), {"deltas": {name: delta}})
 
 
