@@ -50,7 +50,7 @@ from .dynamics import (
     _write_text,
 )
 from .errors import ArgumentError, NumericalError
-from .schema import from_json, json_default
+from .schema import from_json, json_default, read_text
 from .schema import read_json as _load_json  # bench/tracing.py wraps it by this module's name
 from .simulation import (
     POLICY_KINDS,
@@ -306,13 +306,9 @@ def _parse_groups_spec(spec: str, profiles: list[ManufacturerProfile]) -> dict[s
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    data = _load_json(args.result)
-    if not isinstance(data, dict):
-        raise ArgumentError(f"result file {args.result} must hold a JSON object")
-    try:
-        columns = result_columns(data)
-    except (ArgumentError, KeyError, TypeError, ValueError) as exc:
-        raise ArgumentError(f"malformed result file {args.result}: {exc}") from None
+    text = read_text(args.result)
+    columns = result_columns(text, args.result)
+    del text
     if not columns.steps:
         raise ArgumentError("result contains no step records")
 

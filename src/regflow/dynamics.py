@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import struct
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
@@ -54,10 +55,17 @@ __all__ = [
 MAX_STEPS = 10_000_000
 
 
+#: the largest float; an int above it cannot be converted to one
+_FLOAT_MAX = sys.float_info.max
+
+
 def _reject_field(kind: str, obj) -> None:
-    """DomainError naming the first field of obj that is not finite or is
-    negative; kind names what the fields are in the message."""
+    """DomainError naming the first field of obj that is not finite, is an
+    int past the float range or is negative; kind names what the fields are
+    in the message."""
     for name, v in vars(obj).items():
+        if isinstance(v, int) and not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            raise DomainError(f"{kind} {name} must be within the float range, got an integer of {_int_size(v)}")
         if not math.isfinite(v):
             raise DomainError(f"{kind} {name} is not finite: {v!r}")
         if v < 0.0:
@@ -88,8 +96,9 @@ class ModelParameters:
     gamma2: float = 0.0
 
     def __post_init__(self) -> None:
-        # "0 <= v < inf" is false for nan, so a valid set passes in one pass
-        if not all(0.0 <= v < math.inf for v in vars(self).values()):
+        # "0 <= v <= max" is false for nan, inf and an int past the float
+        # range, so a valid set passes in one pass
+        if not all(0.0 <= v <= _FLOAT_MAX for v in vars(self).values()):
             _reject_field("parameter", self)
 
     def replace(self, **changes: float) -> "ModelParameters":
@@ -138,9 +147,9 @@ class SystemState:
     def __post_init__(self) -> None:
         # integrate builds one state per sample: one chained test clears a
         # valid state, only a failure walks the fields for the message
-        inf = math.inf
+        top = _FLOAT_MAX
         if not (
-            0.0 <= self.t < inf and 0.0 <= self.g < inf and 0.0 <= self.c < inf and 0.0 <= self.m < inf
+            0.0 <= self.t <= top and 0.0 <= self.g <= top and 0.0 <= self.c <= top and 0.0 <= self.m <= top
         ):
             _reject_field("state field", self)
 
@@ -180,14 +189,19 @@ def _real(value, where: str) -> float:
             return float(value)
         except OverflowError:
             if isinstance(value, int):
-                try:
-                    size = f"{len(str(abs(value)))} digits"
-                except ValueError:  # past the digits str() converts
-                    size = f"{value.bit_length()} bits"
                 raise ArgumentError(
-                    f"{where} must be a number within the float range, got an integer of {size}"
+                    f"{where} must be a number within the float range, got an integer of {_int_size(value)}"
                 ) from None
     raise ArgumentError(f"{where} must be a number, got {value!r}")
+
+
+def _int_size(value: int) -> str:
+    """The size of an int for a message: its digit count, or its bit count
+    past the digits str() converts."""
+    try:
+        return f"{len(str(abs(value)))} digits"
+    except ValueError:
+        return f"{value.bit_length()} bits"
 
 
 def _integer(value, where: str) -> int:

@@ -54,7 +54,7 @@ from .dynamics import (
     eval_feedback,
 )
 from .errors import ArgumentError, NumericalError
-from .schema import from_json, json_default
+from .schema import from_json, json_default, parse_json_streaming
 
 __all__ = [
     "SimulationConfig",
@@ -441,43 +441,59 @@ def result_to_json_dict(result: SimulationResult) -> dict:
 _CHECKED_NUMBERS = ("state.g", "state.c", "state.m", "market_adaptation")
 
 
-def _record_columns(records) -> tuple[dict[str, list], dict[str, list], dict[str, float]]:
-    """One pass over the records of a parsed result.json, checking each:
-    ArgumentError when the records are not a JSON array of objects, a
-    record's agents are not a JSON object holding record 0's agents, or a
-    state.g, state.c, state.m or market_adaptation value is not a number;
-    KeyError or TypeError for a missing or mistyped record field, agent
-    entry or state. Returns each agent's g series, its c series and its
-    last market_adaptation."""
-    if not isinstance(records, list):
-        raise ArgumentError("records must be a JSON array")
-    g_cols: dict[str, list] = {}
-    c_cols: dict[str, list] = {}
-    raw_agents: dict = {}
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ArgumentError(f"record {i} must be a JSON object, got {rec!r}")
-        raw_agents = rec["agents"]
-        if not isinstance(raw_agents, dict):
-            raise ArgumentError(f"record {i}: agents must be a JSON object, got {raw_agents!r}")
-        if i == 0:
-            g_cols = {aid: [] for aid in raw_agents}
-            c_cols = {aid: [] for aid in raw_agents}
-        elif raw_agents.keys() != g_cols.keys():
-            raise ArgumentError(
-                f"record {i}: agents {sorted(raw_agents)} differ from record 0's {sorted(g_cols)}"
-            )
-        for aid, ar in raw_agents.items():
-            state = ar["state"]
-            values = (state["g"], state["c"], state["m"], ar["market_adaptation"])
-            for name, value in zip(_CHECKED_NUMBERS, values):
-                # a float always passes _real; only other values need its check
-                if type(value) is not float:
-                    _real(value, f"record {i}, agent {aid}: {name}")
-            g_cols[aid].append(values[0])
-            c_cols[aid].append(values[1])
-    final_m = {aid: ar["market_adaptation"] for aid, ar in raw_agents.items()}
-    return g_cols, c_cols, final_m
+def _record_columns(i: int, rec, g_cols: dict, c_cols: dict, final_m: dict) -> None:
+    """Check record i of a parsed result.json and add it to the columns:
+    each agent's g and c appended to its series in g_cols and c_cols, its
+    market_adaptation kept in final_m. ArgumentError when the record is not
+    a JSON object, its agents are not a JSON object holding record 0's
+    agents, or a state.g, state.c, state.m or market_adaptation value is not
+    a number; KeyError or TypeError for a missing or mistyped record field,
+    agent entry or state."""
+    if not isinstance(rec, dict):
+        raise ArgumentError(f"record {i} must be a JSON object, got {rec!r}")
+    raw_agents = rec["agents"]
+    if not isinstance(raw_agents, dict):
+        raise ArgumentError(f"record {i}: agents must be a JSON object, got {raw_agents!r}")
+    if i == 0:
+        for aid in raw_agents:
+            g_cols[aid], c_cols[aid] = [], []
+    elif raw_agents.keys() != g_cols.keys():
+        raise ArgumentError(
+            f"record {i}: agents {sorted(raw_agents)} differ from record 0's {sorted(g_cols)}"
+        )
+    for aid, ar in raw_agents.items():
+        state = ar["state"]
+        values = (state["g"], state["c"], state["m"], ar["market_adaptation"])
+        for name, value in zip(_CHECKED_NUMBERS, values):
+            # a float always passes _real; only other values need its check
+            if type(value) is not float:
+                _real(value, f"record {i}, agent {aid}: {name}")
+        g_cols[aid].append(values[0])
+        c_cols[aid].append(values[1])
+        final_m[aid] = values[3]
+
+
+class _Columns:
+    """The sink of result.json's records for parse_json_streaming: each
+    record is checked and added by _record_columns, then dropped. The first
+    record that fails its check ends the checks, and its error is kept for
+    after the text has been scanned, so that a syntax error later in the
+    file wins, as it does in json.loads."""
+
+    def __init__(self):
+        self.steps = 0
+        self.g: dict[str, list] = {}
+        self.c: dict[str, list] = {}
+        self.final_m: dict[str, float] = {}
+        self.error: Exception | None = None
+
+    def add(self, rec) -> None:
+        if self.error is None:
+            try:
+                _record_columns(self.steps, rec, self.g, self.c, self.final_m)
+            except (KeyError, TypeError, ValueError) as exc:
+                self.error = exc
+        self.steps += 1
 
 
 @dataclass
@@ -493,23 +509,37 @@ class ResultColumns:
     profiles: list[ManufacturerProfile]
 
 
-def result_columns(data: dict) -> ResultColumns:
-    """Read a parsed result.json for `metrics`, with the checks of
-    result_from_json_dict on records, profiles and config, without building
-    parameters, decisions or any other field of a record."""
-    g, c, final_m = _record_columns(data["records"])
-    profiles = [_profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))]
-    config = _config_from_dict(data.get("config", {}))
-    return ResultColumns(
-        steps=len(data["records"]), g=g, c=c, final_m=final_m, config=config, profiles=profiles
-    )
+def result_columns(text: str, where: str) -> ResultColumns:
+    """What `metrics` reads of the text of a result.json. The records are
+    parsed one at a time and dropped, so at most one is held parsed beside
+    the text. ArgumentError naming `where`: parse_json's for text that is
+    not JSON, "must hold a JSON object" for any other JSON value, and
+    "malformed result file" for content that result_from_json_dict's
+    checks on records, profiles and config refuse. Builds no parameters,
+    decisions or other field of a record."""
+    data = parse_json_streaming(text, where, "records", _Columns)
+    if not isinstance(data, dict):
+        raise ArgumentError(f"result file {where} must hold a JSON object")
+    try:
+        records = data["records"]
+        if not isinstance(records, _Columns):
+            raise ArgumentError("records must be a JSON array")
+        if records.error is not None:
+            raise records.error
+        profiles = [_profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))]
+        config = _config_from_dict(data.get("config", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"malformed result file {where}: {exc}") from None
+    return ResultColumns(records.steps, records.g, records.c, records.final_m, config, profiles)
 
 
 def result_from_json_dict(data: dict) -> SimulationResult:
     """The inverse of result_to_json_dict. ArgumentError for a value that
     from_json rejects or a record that _record_columns rejects."""
     result = from_json(SimulationResult, data, "result")
-    _record_columns(data["records"])
+    g_cols, c_cols, final_m = {}, {}, {}
+    for i, rec in enumerate(data["records"]):
+        _record_columns(i, rec, g_cols, c_cols, final_m)
     return result
 
 

@@ -1,21 +1,29 @@
 """`metrics` reads only the g and c series, the final market adaptation,
-the profiles and the config of result.json."""
+the profiles and the config of result.json, one step record at a time: it
+accepts and refuses what json.loads and a whole-file extraction do, with the
+same messages, and holds one parsed record beside the text."""
 
 import contextlib
+import functools
 import io
 import json
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regflow import cli
+from regflow.agents import _profile_from_dict
 from regflow.analysis import bonferroni_pairwise, metrics_report, welch_anova
 from regflow.cli import main
+from regflow.dynamics import _real
 from regflow.errors import ArgumentError
-from regflow.schema import json_default
-from regflow.simulation import result_from_json_dict
+from regflow.schema import from_json, json_default, parse_json, read_text
+from regflow.simulation import SimulationConfig, result_from_json_dict
 
 TIERS = ("limited", "medium", "rich")
 
@@ -125,3 +133,212 @@ def test_fields_metrics_does_not_read_leave_its_bytes(tmp_path, edit):
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(data))
     assert metrics_bytes(edited, tmp_path / "after") == before
+
+
+# ---------------------------------------------------------------------------
+# the record-at-a-time reader against json.loads plus a whole-file extraction
+# ---------------------------------------------------------------------------
+
+def reference_columns(data: dict):
+    """The whole-file extraction that `metrics` made from json.loads's dict:
+    (g, c, last market adaptation, step count), with its checks."""
+    records = data["records"]
+    if not isinstance(records, list):
+        raise ArgumentError("records must be a JSON array")
+    g_cols: dict = {}
+    c_cols: dict = {}
+    raw_agents: dict = {}
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ArgumentError(f"record {i} must be a JSON object, got {rec!r}")
+        raw_agents = rec["agents"]
+        if not isinstance(raw_agents, dict):
+            raise ArgumentError(f"record {i}: agents must be a JSON object, got {raw_agents!r}")
+        if i == 0:
+            g_cols = {aid: [] for aid in raw_agents}
+            c_cols = {aid: [] for aid in raw_agents}
+        elif raw_agents.keys() != g_cols.keys():
+            raise ArgumentError(
+                f"record {i}: agents {sorted(raw_agents)} differ from record 0's {sorted(g_cols)}"
+            )
+        for aid, ar in raw_agents.items():
+            state = ar["state"]
+            values = (state["g"], state["c"], state["m"], ar["market_adaptation"])
+            for name, value in zip(("state.g", "state.c", "state.m", "market_adaptation"), values):
+                _real(value, f"record {i}, agent {aid}: {name}")
+            g_cols[aid].append(values[0])
+            c_cols[aid].append(values[1])
+    final_m = {aid: ar["market_adaptation"] for aid, ar in raw_agents.items()}
+    [_profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))]
+    from_json(SimulationConfig, data.get("config", {}), "config")
+    return g_cols, c_cols, final_m, len(records)
+
+
+def reference_outcome(path: str, epsilon: float) -> tuple[int, str]:
+    """(exit code, metrics.json text or stderr) of `metrics` without
+    --groups, through json.loads and the whole-file extraction."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = parse_json(fh.read(), path)
+        if not isinstance(data, dict):
+            raise ArgumentError(f"result file {path} must hold a JSON object")
+        try:
+            g, c, final_m, steps = reference_columns(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArgumentError(f"malformed result file {path}: {exc}") from None
+        if not steps:
+            raise ArgumentError("result contains no step records")
+        report = {
+            "epsilon": epsilon,
+            "per_agent": {aid: metrics_report(c[aid], g[aid], epsilon) for aid in sorted(final_m)},
+        }
+    except ArgumentError as exc:
+        return 2, f"error: {exc}\n"
+    return 0, json.dumps(report, default=json_default, sort_keys=True, indent=2) + "\n"
+
+
+def outcomes(text: str, epsilon: float) -> tuple:
+    """(exit code, metrics.json text or stderr) of `metrics` without
+    --groups on a file holding text, and the same from reference_outcome."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "result.json")
+        Path(path).write_text(text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["metrics", "--result", path, "--epsilon", repr(epsilon), "--out", str(out)])
+        got = code, (out / "metrics.json").read_text() if code == 0 else err.getvalue()
+        return got, reference_outcome(path, epsilon)
+
+
+@functools.cache
+def stock_members(agents: int, steps: int) -> tuple:
+    """The top-level members of a default run's result.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        text = simulate(Path(tmp), TIERS[:agents], steps).read_text()
+    return tuple(json.loads(text).items())
+
+
+# a JSON string, or one structural character outside strings
+TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}\[\],:]')
+#: values of a repeated member: each one something the checks refuse
+DECOYS = [[], [1], {"0": {}}, [{"agents": []}], None, "records", 3]
+EDIT_CHARACTERS = list('{}[],:"\\ \n0123456789.eE+-truefalsnx')
+
+
+@st.composite
+def result_texts(draw):
+    """A small result.json: re-serialized with any indent, separators and
+    whitespace between tokens, its top-level members in any order, one
+    member perhaps repeated (the last one counts), then perhaps one
+    character deleted or inserted, or the text cut short."""
+    members = list(stock_members(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    members = draw(st.permutations(members))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([k for k, _ in members]))
+        value = draw(st.sampled_from(DECOYS + [dict(members)[key]]))
+        members.insert(draw(st.integers(0, len(members))), (key, value))
+    indent = draw(st.sampled_from([None, 0, 1, "\t"]))
+    item, colon = draw(st.sampled_from([(",", ":"), (", ", ": "), (",", " : ")]))
+    text = "{" + item.join(
+        json.dumps(k) + colon + json.dumps(v, indent=indent, separators=(item, colon)) for k, v in members
+    ) + "}"
+    if draw(st.booleans()):
+        rnd = draw(st.randoms(use_true_random=False))
+        space = lambda: "".join(rnd.choice(" \t\n\r") for _ in range(rnd.choice([0, 0, 1, 3])))
+        text = space() + TOKEN.sub(lambda m: m[0] if m[0][0] == '"' else space() + m[0] + space(), text)
+    edit = draw(st.sampled_from(["none", "delete", "insert", "truncate"]))
+    if edit != "none":
+        pos = draw(st.integers(0, len(text) - 1))
+        if edit == "delete":
+            text = text[:pos] + text[pos + 1:]
+        elif edit == "insert":
+            text = text[:pos] + draw(st.sampled_from(EDIT_CHARACTERS)) + text[pos:]
+        else:
+            text = text[:pos]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=result_texts(), epsilon=st.sampled_from([0.01, 0.5]))
+def test_metrics_reads_what_json_loads_reads(text, epsilon):
+    got, expected = outcomes(text, epsilon)
+    assert got == expected
+
+
+def with_bad_record_0(text: str) -> str:
+    return text.replace('"records":[{', '"records":[1,{', 1)
+
+
+#: (id, the text, or a function of a stock result's compact text)
+TEXTS = [
+    # a bad record 0, then a syntax error at the end: the syntax error wins
+    ("bad-record-then-unclosed", lambda s: with_bad_record_0(s)[:-1]),
+    ("bad-record-then-extra-data", lambda s: with_bad_record_0(s) + ","),
+    # the last of two records members counts, with its checks
+    ("second-records-bad", lambda s: s[:-1] + ',"records":[{"agents":[]}]}'),
+    ("second-records-not-an-array", lambda s: s[:-1] + ',"records":7}'),
+    ("first-records-bad", lambda s: '{"records":[1],' + s[1:]),
+    ("byte-order-mark", lambda s: "\ufeff" + s),
+    # not an object, or not JSON at all
+    ("empty", ""),
+    ("blank", " "),
+    ("array", "[]"),
+    ("null", "null"),
+    ("string", '"records"'),
+    ("open-brace", "{"),
+    ("key-only", '{"records"'),
+    ("key-colon", '{"records":'),
+    ("open-array", '{"records":['),
+    ("unclosed-object", '{"records":[]'),
+    ("junk-after-member", '{"records":[] x'),
+    ("extra-brace", '{"records":[]}}'),
+    ("trailing-comma-in-object", '{"records":[],}'),
+    ("missing-colon", '{"records" []}'),
+    ("comma-without-member", "{,}"),
+    ("single-quoted-key", "{'a':1}"),
+    ("missing-comma-in-records", '{"records":[1 2]}'),
+    ("trailing-comma-in-records", '{"records":[1,]}'),
+    ("record-without-agents", '{"a":1,"records":[{}]}'),
+    ("bad-escape", '{"a":"\\x"}'),
+    ("control-character-in-key", '{"a\n":1}'),
+]
+
+
+@pytest.mark.parametrize("case", [case for _, case in TEXTS], ids=[name for name, _ in TEXTS])
+def test_metrics_reads_these_texts_as_json_loads_does(case):
+    text = case(json.dumps(dict(stock_members(2, 3)), separators=(",", ":"))) if callable(case) else case
+    got, expected = outcomes(text, 0.5)
+    assert got == expected
+
+
+def test_metrics_holds_little_beyond_the_text(tmp_path, monkeypatch):
+    """From the moment the file's text is read, `metrics` on a result of
+    about 1 MB allocates at its peak less than half the file's size beyond
+    the text: one parsed record, not the whole tree (2.8 times the file)."""
+    roster = [{"id": f"M{i:02d}", "resource_tier": TIERS[i % 3]} for i in range(24)]
+    (tmp_path / "roster.json").write_text(json.dumps(roster))
+    (tmp_path / "config.json").write_text(json.dumps({"total_steps": 45, "inner_substeps": 1}))
+    run_dir = tmp_path / "run"
+    assert main([
+        "simulate", "--config", str(tmp_path / "config.json"), "--profiles", str(tmp_path / "roster.json"),
+        "--out", str(run_dir),
+    ]) == 0
+    size = (run_dir / "result.json").stat().st_size
+    assert 0.8e6 < size < 1.5e6
+
+    def read_then_reset_peak(path):
+        # reading a file holds its bytes and its text at once; count from its end
+        text = read_text(path)
+        tracemalloc.reset_peak()
+        return text
+
+    monkeypatch.setattr(cli, "read_text", read_then_reset_peak)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["metrics", "--result", str(run_dir / "result.json"), "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size

@@ -8,6 +8,7 @@ Public functions check their scalar arguments with the same two helpers.
 import dataclasses
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,36 @@ def test_the_first_bad_field_is_named():
         SystemState(0.0, 1.0, math.nan, -1.0)
     with pytest.raises(DomainError, match="parameter beta1 must be >= 0, got -1.0"):
         ModelParameters(beta1=-1.0, gamma2=math.inf)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: ModelParameters(alpha1=10**400),
+            "parameter alpha1 must be within the float range, got an integer of 401 digits",
+        ),
+        (
+            lambda: DEFAULT_PARAMETERS.replace(gamma2=-(10**5000)),
+            "parameter gamma2 must be within the float range, got an integer of 16610 bits",
+        ),
+        (
+            lambda: SystemState(0.0, 10**400, 0.1, 0.1),
+            "state field g must be within the float range, got an integer of 401 digits",
+        ),
+    ],
+    ids=["parameter", "parameter-negative", "state"],
+)
+def test_an_int_past_the_float_range_is_refused(build, message):
+    # advance would otherwise fail converting it with an OverflowError
+    with pytest.raises(DomainError, match=re.escape(message)):
+        build()
+
+
+def test_the_largest_int_within_the_float_range_is_accepted():
+    top = int(sys.float_info.max)
+    assert ModelParameters(alpha1=top).alpha1 == top
+    assert SystemState(0.0, top, 0.1, 0.1).g == top
 
 
 @settings(max_examples=60, deadline=None)
