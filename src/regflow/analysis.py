@@ -30,7 +30,6 @@ from .dynamics import (
     ModelParameters,
     SystemState,
     _feedback,
-    _fmt,
     _integration_steps,
     _number,
     _rk4_run,
@@ -376,13 +375,16 @@ def sweep(
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """Rows: parameter,value,G,C,M,F,rate_G,rate_C,rate_M,rate_F."""
+    """Rows: parameter,value,G,C,M,F,rate_G,rate_C,rate_M,rate_F, each
+    number written as "%.17g", the text of format(x, ".17g")."""
 
     def rows():
         yield "parameter,value,G,C,M,F,rate_G,rate_C,rate_M,rate_F\n"
         for i, v in enumerate(result.values):
-            outs = ",".join(_fmt(result.outputs[name][i]) for name in OUTPUT_NAMES)
-            rates = ",".join(_fmt(result.change_rates[name][i]) for name in OUTPUT_NAMES)
-            yield f"{result.parameter},{_fmt(v)},{outs},{rates}\n"
+            yield "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+                result.parameter, v,
+                *(result.outputs[name][i] for name in OUTPUT_NAMES),
+                *(result.change_rates[name][i] for name in OUTPUT_NAMES),
+            )
 
     _write_text(path, rows())

@@ -29,7 +29,6 @@ from .dynamics import (
     _check_box,
     _count,
     _feedback,
-    _fmt,
     _integrate_raw,
     _number,
     _step_count,
@@ -394,8 +393,10 @@ def generate_synthetic(
 # ---------------------------------------------------------------------------
 
 def write_series_csv(obs: ObservedSeries, path) -> None:
+    """Rows t,G,C,M,F, each number written as "%.17g", the text of
+    format(x, ".17g")."""
     rows = zip(obs.times, obs.g_obs, obs.c_obs, obs.m_obs, obs.f_obs)
-    _write_text(path, ["t,G,C,M,F\n"] + [",".join(_fmt(v) for v in row) + "\n" for row in rows])
+    _write_text(path, ["t,G,C,M,F\n"] + ["%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows])
 
 
 def read_series_csv(path) -> ObservedSeries:

@@ -19,6 +19,7 @@ a file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,6 +48,7 @@ from .dynamics import (
     ModelParameters,
     SystemState,
     _bounds_from_json,
+    _number,
     _write_text,
 )
 from .errors import ArgumentError, NumericalError
@@ -311,6 +313,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     del text
     if not columns.steps:
         raise ArgumentError("result contains no step records")
+    # checked here, not only in adherence_accuracy: a result without agents never calls it
+    _number(args.epsilon, "epsilon", positive=True)
 
     agent_ids = sorted(columns.final_m)
     report: dict = {"epsilon": args.epsilon, "per_agent": {}}
@@ -363,7 +367,10 @@ def cmd_corpus_print(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves
+    it as it was."""
     parser = argparse.ArgumentParser(
         prog="regflow",
         description="Regulator/manufacturer feedback simulation toolkit.",

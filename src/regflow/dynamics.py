@@ -540,10 +540,6 @@ def advance(
 # export
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _write_text(path, pieces) -> None:
     """Write text to path as UTF-8 with "\n" line ends: an iterable of text
     pieces, or a function that writes its text through the write function

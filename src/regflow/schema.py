@@ -1,13 +1,10 @@
 """The JSON boundary: one decoder, one loader, one encoder hook and one file reader.
 
-parse_json is the package's one JSON decoder. read_json, the llm policy's
-completion envelope and its reply all go through it, so text that the
+parse_json is the package's one JSON decoder. read_json, the result
+reader of `metrics` (with an object hook), the llm policy's completion
+envelope and its reply all go through it, so text that the
 parser refuses (not JSON, an integer of more than 4300 digits, nesting
 deeper than the recursion limit) raises ArgumentError everywhere.
-parse_json_streaming reads an object as parse_json does, but hands the
-elements of one array member to a sink as they are parsed, so that a file
-of many records is never held parsed whole; it refuses the same text with
-the same messages.
 
 from_json reads a dataclass from parsed JSON by its fields and their type
 hints. An unknown key, a missing key whose field has no default, or a value
@@ -47,22 +44,21 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import sys
 import types
 import typing
-from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 
 from .dynamics import _integer, _real
 from .errors import ArgumentError
 
-__all__ = ["from_json", "json_default", "parse_json", "parse_json_streaming", "read_json", "read_text"]
+__all__ = ["from_json", "json_default", "parse_json", "read_json", "read_text"]
 
 
-def parse_json(text, where: str):
-    """The parsed content of JSON text (str, or bytes in a UTF encoding);
-    ArgumentError naming `where` for anything the parser refuses."""
+def parse_json(text, where: str, object_hook=None):
+    """The parsed content of JSON text (str, or bytes in a UTF encoding),
+    each object passed through object_hook when one is given, as json.loads
+    does; ArgumentError naming `where` for anything the parser refuses."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:
         raise ArgumentError(f"{where} is not valid JSON: {exc}") from None
 
@@ -83,97 +79,6 @@ def read_json(path):
     """The parsed content of a JSON file; read_text's errors, and
     ArgumentError naming the path when the text is not JSON."""
     return parse_json(read_text(path), path)
-
-
-#: the whitespace matcher and the value scanner that json.loads itself uses
-_skip = WHITESPACE.match
-_scan_once = json.JSONDecoder().scan_once
-#: from Python 3.13 on, json.loads names a comma before "}" or "]" itself
-_NAMES_TRAILING_COMMA = sys.version_info >= (3, 13)
-
-
-def parse_json_streaming(text: str, where: str, key: str, sink):
-    """parse_json(text, where), except that where text holds an object, the
-    elements of each array under `key` are passed one at a time, as they are
-    parsed, to the add method of a fresh sink(), and that member's value is
-    the sink. So only one element is held parsed at a time. Any text is
-    accepted or refused, with json.loads's message and position, exactly as
-    parse_json does (Python 3.10 to 3.13), except nesting near the
-    recursion limit, whose depth depends on the caller's stack in either
-    reader. A later member under a repeated key replaces the earlier one,
-    as in json.loads. sink().add must not raise: a sink keeps its own
-    errors."""
-    pos = _skip(text).end()
-    if not text.startswith("{", pos):
-        return parse_json(text, where)
-    try:
-        return _scan_object(text, pos + 1, key, sink)
-    except (ValueError, RecursionError) as exc:
-        raise ArgumentError(f"{where} is not valid JSON: {exc}") from None
-
-
-def _value(text: str, pos: int):
-    """The JSON value at pos and the index after it, as json.loads reads it."""
-    try:
-        return _scan_once(text, pos)
-    except StopIteration as exc:
-        raise JSONDecodeError("Expecting value", text, exc.value) from None
-
-
-def _scan_object(text: str, pos: int, key: str, sink) -> dict:
-    """The members of the top-level object whose "{" ends before pos; the
-    delimiters and errors of the C scanner's object reader, then json.loads's
-    check for extra data."""
-    members = {}
-    pos = _skip(text, pos).end()
-    if text.startswith("}", pos):
-        pos += 1
-    else:
-        while True:
-            if not text.startswith('"', pos):
-                raise JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
-            name, pos = scanstring(text, pos + 1)
-            pos = _skip(text, pos).end()
-            if not text.startswith(":", pos):
-                raise JSONDecodeError("Expecting ':' delimiter", text, pos)
-            pos = _skip(text, pos + 1).end()
-            if name == key and text.startswith("[", pos):
-                members[name], pos = _scan_array(text, pos + 1, sink())
-            else:
-                members[name], pos = _value(text, pos)
-            pos = _skip(text, pos).end()
-            if text.startswith("}", pos):
-                pos += 1
-                break
-            if not text.startswith(",", pos):
-                raise JSONDecodeError("Expecting ',' delimiter", text, pos)
-            comma, pos = pos, _skip(text, pos + 1).end()
-            if _NAMES_TRAILING_COMMA and text.startswith("}", pos):
-                raise JSONDecodeError("Illegal trailing comma before end of object", text, comma)
-    end = _skip(text, pos).end()
-    if end != len(text):
-        raise JSONDecodeError("Extra data", text, end)
-    return members
-
-
-def _scan_array(text: str, pos: int, into):
-    """(into, the index after the array) for the array whose "[" ends before
-    pos, each element passed to into.add; the C scanner's array reader."""
-    pos = _skip(text, pos).end()
-    if text.startswith("]", pos):
-        return into, pos + 1
-    while True:
-        item, pos = _value(text, pos)
-        into.add(item)
-        del item
-        pos = _skip(text, pos).end()
-        if text.startswith("]", pos):
-            return into, pos + 1
-        if not text.startswith(",", pos):
-            raise JSONDecodeError("Expecting ',' delimiter", text, pos)
-        comma, pos = pos, _skip(text, pos + 1).end()
-        if _NAMES_TRAILING_COMMA and text.startswith("]", pos):
-            raise JSONDecodeError("Illegal trailing comma before end of array", text, comma)
 
 
 @functools.cache

@@ -6,8 +6,10 @@ submission), adjustments are applied, each agent's ODE state advances by
 one decision interval of RK4 substeps under its own parameters,
 submissions are scored as benefit-risk ratios and decided against the
 current threshold, and the threshold is then updated once from the step's
-decided ratios. Every step is recorded in full so any run can be replayed
-exactly from its own records.
+decided ratios. Every step is recorded in full, decisions included, so
+the decisions that extract_script pulls from a run's records replay it
+exactly through run_scripted, given the same config, profiles, starts and
+corpus; result.json holds none of the starts or the corpus.
 
 Manufacturers own independent copies of the model state and coefficients;
 they interact only through the shared approval threshold (and the recorded
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping
 
@@ -54,7 +56,7 @@ from .dynamics import (
     eval_feedback,
 )
 from .errors import ArgumentError, NumericalError
-from .schema import from_json, json_default, parse_json_streaming
+from .schema import from_json, json_default, parse_json
 
 __all__ = [
     "SimulationConfig",
@@ -439,16 +441,36 @@ def result_to_json_dict(result: SimulationResult) -> dict:
 
 
 _CHECKED_NUMBERS = ("state.g", "state.c", "state.m", "market_adaptation")
+#: the members of an agent entry of result.json
+_AGENT_KEYS = frozenset(f.name for f in fields(AgentStepRecord))
+_AGENT_SIZE = len(_AGENT_KEYS)
+
+
+def _agent_values(obj: dict):
+    """The object_hook with which `metrics` parses result.json: an agent
+    entry, an object with exactly an AgentStepRecord's members whose
+    market_adaptation is a number and whose state is an object holding g, c
+    and m, as the tuple (g, c, m, market_adaptation); any other object as it
+    is. So each entry's other members are dropped as soon as it is parsed.
+    Never raises, so that a syntax error later in the text still wins."""
+    if len(obj) != _AGENT_SIZE or obj.keys() != _AGENT_KEYS:
+        return obj
+    adaptation, state = obj["market_adaptation"], obj["state"]
+    number = type(adaptation) is float or type(adaptation) is int
+    if number and type(state) is dict and "g" in state and "c" in state and "m" in state:
+        return state["g"], state["c"], state["m"], adaptation
+    return obj
 
 
 def _record_columns(i: int, rec, g_cols: dict, c_cols: dict, final_m: dict) -> None:
     """Check record i of a parsed result.json and add it to the columns:
     each agent's g and c appended to its series in g_cols and c_cols, its
-    market_adaptation kept in final_m. ArgumentError when the record is not
-    a JSON object, its agents are not a JSON object holding record 0's
-    agents, or a state.g, state.c, state.m or market_adaptation value is not
-    a number; KeyError or TypeError for a missing or mistyped record field,
-    agent entry or state."""
+    market_adaptation kept in final_m. An agent entry may be an object or
+    _agent_values's tuple, which json.loads never makes. ArgumentError when
+    the record is not a JSON object, its agents are not a JSON object
+    holding record 0's agents, or a state.g, state.c, state.m or
+    market_adaptation value is not a number; KeyError or TypeError for a
+    missing or mistyped record field, agent entry or state."""
     if not isinstance(rec, dict):
         raise ArgumentError(f"record {i} must be a JSON object, got {rec!r}")
     raw_agents = rec["agents"]
@@ -462,8 +484,11 @@ def _record_columns(i: int, rec, g_cols: dict, c_cols: dict, final_m: dict) -> N
             f"record {i}: agents {sorted(raw_agents)} differ from record 0's {sorted(g_cols)}"
         )
     for aid, ar in raw_agents.items():
-        state = ar["state"]
-        values = (state["g"], state["c"], state["m"], ar["market_adaptation"])
+        if type(ar) is tuple:
+            values = ar
+        else:
+            state = ar["state"]
+            values = (state["g"], state["c"], state["m"], ar["market_adaptation"])
         for name, value in zip(_CHECKED_NUMBERS, values):
             # a float always passes _real; only other values need its check
             if type(value) is not float:
@@ -471,29 +496,6 @@ def _record_columns(i: int, rec, g_cols: dict, c_cols: dict, final_m: dict) -> N
         g_cols[aid].append(values[0])
         c_cols[aid].append(values[1])
         final_m[aid] = values[3]
-
-
-class _Columns:
-    """The sink of result.json's records for parse_json_streaming: each
-    record is checked and added by _record_columns, then dropped. The first
-    record that fails its check ends the checks, and its error is kept for
-    after the text has been scanned, so that a syntax error later in the
-    file wins, as it does in json.loads."""
-
-    def __init__(self):
-        self.steps = 0
-        self.g: dict[str, list] = {}
-        self.c: dict[str, list] = {}
-        self.final_m: dict[str, float] = {}
-        self.error: Exception | None = None
-
-    def add(self, rec) -> None:
-        if self.error is None:
-            try:
-                _record_columns(self.steps, rec, self.g, self.c, self.final_m)
-            except (KeyError, TypeError, ValueError) as exc:
-                self.error = exc
-        self.steps += 1
 
 
 @dataclass
@@ -510,27 +512,29 @@ class ResultColumns:
 
 
 def result_columns(text: str, where: str) -> ResultColumns:
-    """What `metrics` reads of the text of a result.json. The records are
-    parsed one at a time and dropped, so at most one is held parsed beside
-    the text. ArgumentError naming `where`: parse_json's for text that is
-    not JSON, "must hold a JSON object" for any other JSON value, and
-    "malformed result file" for content that result_from_json_dict's
-    checks on records, profiles and config refuse. Builds no parameters,
-    decisions or other field of a record."""
-    data = parse_json_streaming(text, where, "records", _Columns)
+    """What `metrics` reads of the text of a result.json. The text is parsed
+    by parse_json with _agent_values as its object_hook, so four values of
+    each agent entry are held beside the text, not the entry. ArgumentError
+    naming `where`: parse_json's for text that is not JSON, "must hold a
+    JSON object" for any other JSON value, and "malformed result file" for
+    content that result_from_json_dict's checks on records, profiles and
+    config refuse. Builds no parameters, decisions or other field of a
+    record."""
+    data = parse_json(text, where, _agent_values)
     if not isinstance(data, dict):
         raise ArgumentError(f"result file {where} must hold a JSON object")
+    g_cols, c_cols, final_m = {}, {}, {}
     try:
         records = data["records"]
-        if not isinstance(records, _Columns):
+        if not isinstance(records, list):
             raise ArgumentError("records must be a JSON array")
-        if records.error is not None:
-            raise records.error
+        for i, rec in enumerate(records):
+            _record_columns(i, rec, g_cols, c_cols, final_m)
         profiles = [_profile_from_dict(p, f"profile {i}") for i, p in enumerate(data.get("profiles", []))]
         config = _config_from_dict(data.get("config", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"malformed result file {where}: {exc}") from None
-    return ResultColumns(records.steps, records.g, records.c, records.final_m, config, profiles)
+    return ResultColumns(len(records), g_cols, c_cols, final_m, config, profiles)
 
 
 def result_from_json_dict(data: dict) -> SimulationResult:

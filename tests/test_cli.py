@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from regflow import calibration, simulation
+from regflow import calibration, cli, simulation
 from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.cli import main
 from regflow.corpus import build_default_corpus
@@ -883,6 +883,34 @@ def test_metrics_on_a_result_with_an_unknown_resource_tier_exits_2(tmp_path, cap
     (out / "result.json").write_text(json.dumps(data))
     assert main(["metrics", "--result", str(out / "result.json"), "--groups", "auto", "--out", str(out)]) == 2
     assert "profile 0: unknown resource tier 'gold'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-1", "0", "inf"])
+def test_metrics_refuses_a_bad_epsilon_on_a_result_without_agents(tmp_path, capsys, epsilon):
+    result = tmp_path / "result.json"
+    result.write_text('{"records":[{"agents":{}}]}')
+    out = tmp_path / "out"
+    assert main(["metrics", "--result", str(result), "--epsilon", epsilon, "--out", str(out)]) == 2
+    assert f"error: epsilon must be positive and finite, got {float(epsilon)!r}" in capsys.readouterr().err
+    assert not out.exists()
+    # the result is read before the epsilon is checked
+    result.write_text('{"records":[]}')
+    assert main(["metrics", "--result", str(result), "--epsilon", epsilon, "--out", str(out)]) == 2
+    assert "error: result contains no step records" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_serves_command_after_command(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--steps", "3", "--seed", "5", "--out", str(first)]) == 0
+    assert main(["metrics", "--result", str(first / "result.json"), "--epsilon", "0.25", "--out", str(first)]) == 0
+    assert main(["simulate", "--steps", "2", "--out", str(second)]) == 0
+    assert main(["metrics", "--result", str(second / "result.json"), "--out", str(second)]) == 0
+    # no value of one call is left for the next
+    config = json.loads((second / "result.json").read_text())["config"]
+    assert (config["total_steps"], config["seed"]) == (2, 0)
+    assert json.loads((first / "metrics.json").read_text())["epsilon"] == 0.25
+    assert json.loads((second / "metrics.json").read_text())["epsilon"] == 0.5
 
 
 def test_calibrate_negative_guess_coefficient_names_the_guess_file(tmp_path, capsys):

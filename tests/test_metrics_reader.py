@@ -1,9 +1,11 @@
 """`metrics` reads only the g and c series, the final market adaptation,
-the profiles and the config of result.json, one step record at a time: it
-accepts and refuses what json.loads and a whole-file extraction do, with the
-same messages, and holds one parsed record beside the text."""
+the profiles and the config of result.json, each agent entry reduced to four
+values as json.loads parses it: it accepts and refuses what json.loads and a
+whole-file extraction do, with the same messages, and holds four values per
+agent entry beside the text."""
 
 import contextlib
+import copy
 import functools
 import io
 import json
@@ -136,7 +138,7 @@ def test_fields_metrics_does_not_read_leave_its_bytes(tmp_path, edit):
 
 
 # ---------------------------------------------------------------------------
-# the record-at-a-time reader against json.loads plus a whole-file extraction
+# the reducing reader against json.loads plus a whole-file extraction
 # ---------------------------------------------------------------------------
 
 def reference_columns(data: dict):
@@ -312,10 +314,52 @@ def test_metrics_reads_these_texts_as_json_loads_does(case):
     assert got == expected
 
 
+def first_entry(data: dict) -> dict:
+    """A copy of the first agent entry of a parsed result.json."""
+    return copy.deepcopy(next(iter(data["records"][0]["agents"].values())))
+
+
+def entry_under_every_decision(data: dict) -> None:
+    entry = first_entry(data)
+    set_in_every_agent(data, lambda ar: ar.update(decision=entry))
+
+
+def record_with_entry_members(data: dict) -> None:
+    entry = first_entry(data)
+    data["records"][1].update(state=entry["state"], market_adaptation=entry["market_adaptation"])
+
+
+#: (id, an edit of a parsed stock result, whether the message is the reference's too)
+HOOK_CASES = [
+    ("entry-under-every-decision", entry_under_every_decision, True),
+    ("record-with-entry-members", record_with_entry_members, True),
+    # an agent entry where metrics reads another object: refused by both
+    # readers, but the message shows the reduced entry
+    ("entry-as-config", lambda d: d.update(config=first_entry(d)), False),
+    ("entry-as-profile-0", lambda d: d["profiles"].__setitem__(0, first_entry(d)), False),
+    ("entry-as-extra-record", lambda d: d["records"].append(first_entry(d)), False),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, same_message", [case[1:] for case in HOOK_CASES], ids=[case[0] for case in HOOK_CASES]
+)
+def test_metrics_reduces_only_agent_entries(edit, same_message):
+    data = json.loads(json.dumps(dict(stock_members(2, 3))))
+    edit(data)
+    got, expected = outcomes(json.dumps(data), 0.5)
+    if same_message:
+        assert got == expected and got[0] == 0
+    else:
+        assert got[0] == expected[0] == 2
+        assert got[1].startswith("error: malformed result file ") and "Traceback" not in got[1]
+
+
 def test_metrics_holds_little_beyond_the_text(tmp_path, monkeypatch):
     """From the moment the file's text is read, `metrics` on a result of
     about 1 MB allocates at its peak less than half the file's size beyond
-    the text: one parsed record, not the whole tree (2.8 times the file)."""
+    the text: four values per agent entry, not the whole tree (2.8 times
+    the file)."""
     roster = [{"id": f"M{i:02d}", "resource_tier": TIERS[i % 3]} for i in range(24)]
     (tmp_path / "roster.json").write_text(json.dumps(roster))
     (tmp_path / "config.json").write_text(json.dumps({"total_steps": 45, "inner_substeps": 1}))
