@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -64,6 +65,16 @@ class ObservedSeries:
 
 
 def _check_series(obs: ObservedSeries) -> None:
+    """ArgumentError unless obs has at least 2 rows, columns of one length,
+    finite values (g, c, m and f >= 0) and strictly increasing times. A
+    series that passed keeps its columns as tuples in _passed and passes
+    again at once while it holds the very objects that passed: calibrate
+    reads a series with read_series_csv and fits it with fit, and both check
+    it."""
+    values = (obs.times, obs.g_obs, obs.c_obs, obs.m_obs, obs.f_obs)
+    passed = getattr(obs, "_passed", ())
+    if passed and all(len(a) == len(b) and all(map(operator.is_, a, b)) for a, b in zip(values, passed)):
+        return
     n = len(obs.times)
     if n < 2:
         raise ArgumentError("observed series needs at least 2 rows")
@@ -81,6 +92,7 @@ def _check_series(obs: ObservedSeries) -> None:
     for i in range(1, n):
         if obs.times[i] <= obs.times[i - 1]:
             raise ArgumentError(f"times must be strictly increasing at index {i}")
+    obs._passed = tuple(map(tuple, values))
 
 
 @dataclass(frozen=True)

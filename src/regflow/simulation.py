@@ -17,6 +17,8 @@ mean feedback, kept for analysis). Within a run, agents whose coefficients
 went through the same adjustments hold one shared, immutable
 ModelParameters, built once, and each distinct ratio is decided once per
 step; the records are those of adjusting and deciding every agent afresh.
+What the engine derives from a decision, the key of its deltas and its
+ratio, it derives once per run, however many agent-steps share the decision.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ class SimulationResult:
 
 
 AgentInit = tuple[ModelParameters, SystemState]
-#: What a policy sees of one agent at a step, besides the step's regulations.
-AgentView = tuple[ManufacturerProfile, SystemState, PolicyEnv]
+#: What a policy sees of one agent at a step besides the step's regulations
+#: and threshold: its profile, state, last approval and feedback.
+AgentView = tuple[ManufacturerProfile, SystemState, bool, float]
 
 
 def default_initial(
@@ -170,7 +173,7 @@ def _run_engine(
     profiles: list[ManufacturerProfile],
     initial: Mapping[str, AgentInit],
     corpus: list[Regulation],
-    decide_step: Callable[[int, list[Regulation], list[AgentView]], dict[str, AgentDecision]],
+    decide_step: Callable[[int, list[Regulation], float, list[AgentView]], dict[str, AgentDecision]],
 ) -> SimulationResult:
     if not profiles:
         raise ArgumentError("at least one manufacturer profile is required")
@@ -182,7 +185,9 @@ def _run_engine(
             f"initial data ids {sorted(initial.keys())} do not match profile ids {ids}"
         )
     by_id = {p.id: p for p in profiles}
+    roster = [by_id[aid] for aid in ids]
 
+    # each dict holds its agents in ids order, so the step's views zip them
     params: dict[str, ModelParameters] = {}
     states: dict[str, SystemState] = {}
     feedbacks: dict[str, float] = {}
@@ -199,41 +204,44 @@ def _run_engine(
     records: list[StepRecord] = []
     clamp_events = 0
     llm_fallbacks = 0
-    # (id(coefficients), deltas) -> (coefficients, adjusted): each entry holds
-    # its input, so no id is reused while the run lasts
-    adjusted: dict[tuple, tuple[ModelParameters, ModelParameters]] = {}
+    # id(decision) -> (decision, adjusted, ratio): what the engine derives
+    # from a decision, derived once however many agent-steps it serves.
+    # adjusted maps id(coefficients) -> (coefficients, adjusted coefficients)
+    # and is shared by every decision with the same deltas; it is None when
+    # a delta is zero, as 0.0 == -0.0 but the two add to different bits.
+    # Each entry holds its input, so no id is reused while the run lasts.
+    derived: dict[int, tuple[AgentDecision, dict | None, float | None]] = {}
+    by_deltas: dict[tuple, dict[int, tuple[ModelParameters, ModelParameters]]] = {}
 
     for t in range(config.total_steps):
         phase = active_phase(t, config.schedule)
         regs = regulations_for(t, corpus, config.schedule)
-        views = [
-            (
-                by_id[aid],
-                states[aid],
-                PolicyEnv(threshold=threshold, last_approved=last_approved[aid], feedback=feedbacks[aid]),
-            )
-            for aid in ids
-        ]
-        decisions = decide_step(t, regs, views)
+        views = list(zip(roster, states.values(), last_approved.values(), feedbacks.values()))
+        decisions = decide_step(t, regs, threshold, views)
 
         step_brrs: list[float] = []
         approvals: dict[float, bool] = {}
         agent_records: dict[str, AgentStepRecord] = {}
         for aid in ids:
             decision = decisions[aid]
+            entry = derived.get(id(decision))
+            if entry is None:
+                deltas = decision.adjustments.deltas
+                entry = derived[id(decision)] = (
+                    decision,
+                    None if 0.0 in deltas.values() else by_deltas.setdefault(tuple(deltas.items()), {}),
+                    compute_brr(decision.submission) if decision.comply else None,
+                )
+            _, adjusted, brr_value = entry
             if decision.fallback is not None:
                 llm_fallbacks += 1
             p = params[aid]
-            deltas = decision.adjustments.deltas
-            # 0.0 == -0.0 but the two add to different bits, so a zero delta
-            # is never looked up
-            if 0.0 in deltas.values():
+            if adjusted is None:
                 p = apply_adjustments(p, decision.adjustments, config.param_bounds)
             else:
-                key = (id(p), tuple(deltas.items()))
-                hit = adjusted.get(key)
+                hit = adjusted.get(id(p))
                 if hit is None:
-                    hit = adjusted[key] = (p, apply_adjustments(p, decision.adjustments, config.param_bounds))
+                    hit = adjusted[id(p)] = (p, apply_adjustments(p, decision.adjustments, config.param_bounds))
                 p = hit[1]
             params[aid] = p
             try:
@@ -246,28 +254,21 @@ def _run_engine(
             feedbacks[aid] = f
             clamp_events += clamps
 
-            brr_value: float | None = None
             approved: bool | None = None
-            if decision.comply:
-                brr_value = compute_brr(decision.submission)
+            if brr_value is not None:
                 approved = approvals.get(brr_value)
                 if approved is None:
                     approved = approvals[brr_value] = decide(brr_value, threshold).approved
                 last_approved[aid] = approved
                 step_brrs.append(brr_value)
 
+            # positional arguments, in field order: params, state, f,
+            # decision, brr, approved, compliance_cost, market_adaptation
             agent_records[aid] = AgentStepRecord(
-                params=p,
-                state=new_state,
-                f=f,
-                decision=decision,
-                brr=brr_value,
-                approved=approved,
-                compliance_cost=cost,
-                market_adaptation=new_state.m,
+                p, new_state, f, decision, brr_value, approved, cost, new_state.m
             )
 
-        mean_feedback = sum(feedbacks[aid] for aid in ids) / len(ids)
+        mean_feedback = sum(feedbacks.values()) / len(ids)
         records.append(
             StepRecord(
                 step=t,
@@ -284,7 +285,7 @@ def _run_engine(
     return SimulationResult(
         records=records,
         config=config,
-        profiles=[by_id[aid] for aid in ids],
+        profiles=roster,
         clamp_events=clamp_events,
         llm_fallbacks=llm_fallbacks,
     )
@@ -307,13 +308,16 @@ def run(
         # is hashed once per step, not once per agent
         memo: dict[tuple[Regulation, ...], dict[tuple[str, bool], AgentDecision]] = {}
 
-        def decide_step(t: int, regs: list[Regulation], views: list[AgentView]) -> dict[str, AgentDecision]:
+        def decide_step(
+            t: int, regs: list[Regulation], threshold: float, views: list[AgentView]
+        ) -> dict[str, AgentDecision]:
             decided = memo.setdefault(tuple(regs), {})
             out = {}
-            for prof, state, env in views:
-                key = (prof.id, env.last_approved)
+            for prof, state, ok, f in views:
+                key = (prof.id, ok)
                 decision = decided.get(key)
                 if decision is None:
+                    env = PolicyEnv(threshold, ok, f)
                     decision = decided[key] = rule_policy_decide(prof, regs, state, env, config.max_step)
                 out[prof.id] = decision
             return out
@@ -330,10 +334,14 @@ def run(
     # one pool for the whole run, shut down however the run ends
     with ThreadPoolExecutor(max_workers=max(1, min(config.llm_concurrency, len(profiles)))) as pool:
 
-        def decide_step(t: int, regs: list[Regulation], views: list[AgentView]) -> dict[str, AgentDecision]:
+        def decide_step(
+            t: int, regs: list[Regulation], threshold: float, views: list[AgentView]
+        ) -> dict[str, AgentDecision]:
             futures = {
-                prof.id: pool.submit(llm_policy_decide, prof, regs, state, env, client, config.max_step)
-                for prof, state, env in views
+                prof.id: pool.submit(
+                    llm_policy_decide, prof, regs, state, PolicyEnv(threshold, ok, f), client, config.max_step
+                )
+                for prof, state, ok, f in views
             }
             return {aid: fut.result() for aid, fut in futures.items()}
 
@@ -368,9 +376,11 @@ def run_scripted(
             if abs(delta) > config.max_step + 1e-15:
                 raise ArgumentError(f"{where}: adjustment {name}={delta} exceeds max_step {config.max_step}")
 
-    def decide_step(t: int, regs: list[Regulation], views: list[AgentView]) -> dict[str, AgentDecision]:
+    def decide_step(
+        t: int, regs: list[Regulation], threshold: float, views: list[AgentView]
+    ) -> dict[str, AgentDecision]:
         out = {}
-        for prof, _state, _env in views:
+        for prof, *_ in views:
             key = (t, prof.id)
             if key not in script:
                 raise ArgumentError(f"script has no decision for step {t}, agent {prof.id}")
@@ -575,10 +585,17 @@ def _shared_text(o, texts: dict) -> str:
 
 
 _RESULT_HEAD = '{"clamp_events":%s,"config":%s,"llm_fallbacks":%s,"profiles":%s,"records":['
-_STEP = '{"agents":{%s},"mean_feedback":%s,"phase":%s,"step":%s,"threshold":%s}'
+_STEP_TAIL = '},"mean_feedback":%s,"phase":%s,"step":%s,"threshold":%s}'
 _AGENT = (
     '%s:{"approved":%s,"brr":%s,"compliance_cost":%s,"decision":%s,"f":%s,"market_adaptation":%s,'
     '"params":%s,"state":{"c":%s,"g":%s,"m":%s,"t":%s}}'
+)
+#: _AGENT for an entry whose g, c, m, f and compliance cost are finite
+#: floats, whose market adaptation is its m and whose approval is true or
+#: false: %r writes a float as float.__repr__ does
+_AGENT_FLOATS = (
+    '%s:{"approved":%s,"brr":%s,"compliance_cost":%r,"decision":%s,"f":%r,"market_adaptation":%s,'
+    '"params":%s,"state":{"c":%r,"g":%r,"m":%s,"t":%s}}'
 )
 
 
@@ -586,39 +603,64 @@ def write_result_json(result: SimulationResult, path) -> None:
     """Compact sorted JSON plus a newline: the text of json.dumps(result,
     default=json_default, sort_keys=True, separators=(",", ":")), written
     one step record at a time. Each agent entry is one format of a fixed
-    template; each decision and coefficient set is encoded once."""
+    template; each agent id, decision and coefficient set is encoded once."""
 
     def fill(write):
         write(_RESULT_HEAD % tuple(
             _encode(v) for v in (result.clamp_events, result.config, result.llm_fallbacks, result.profiles)
         ))
         shared: dict[int, str] = {}
+        keys: dict[str, str] = {}
         sep = ""
         for rec in result.records:
             texts: dict[float, str] = {}
-            entries = []
+            # joined once: a step of many agents is a long text
+            pieces = [sep, '{"agents":{']
+            comma = ""
             for aid, ar in sorted(rec.agents.items()):
+                key = keys.get(aid)
+                if key is None:
+                    key = keys[aid] = encode_basestring_ascii(aid)
                 state, approved, brr = ar.state, ar.approved, ar.brr
-                m = _float_text(state.m)
-                entries.append(_AGENT % (
-                    encode_basestring_ascii(aid),
-                    "null" if approved is None else "true" if approved is True
-                    else "false" if approved is False else _encode(approved),
-                    "null" if brr is None else _step_text(brr, texts),
-                    _float_text(ar.compliance_cost),
-                    _shared_text(ar.decision, shared),
-                    _float_text(ar.f),
-                    m if ar.market_adaptation is state.m else _float_text(ar.market_adaptation),
-                    _shared_text(ar.params, shared),
-                    _float_text(state.c),
-                    _float_text(state.g),
-                    m,
-                    _step_text(state.t, texts),
-                ))
-            write(sep + _STEP % (
-                ",".join(entries), _float_text(rec.mean_feedback), _encode(rec.phase),
-                _encode(rec.step), _float_text(rec.threshold),
+                g, c, m, f, cost = state.g, state.c, state.m, ar.f, ar.compliance_cost
+                if (
+                    type(g) is type(c) is type(m) is type(f) is type(cost) is float
+                    # all finite: an inf or a nan makes the product nan, as
+                    # does a sum past the float range (that entry takes _AGENT)
+                    and 0.0 * (g + c + m + f + cost) == 0.0
+                    and ar.market_adaptation is m
+                    and (approved is True or approved is False)
+                ):
+                    m = repr(m)
+                    # a kept text is never empty: "or" looks it up inline
+                    pieces += comma, _AGENT_FLOATS % (
+                        key, "true" if approved else "false", texts.get(brr) or _step_text(brr, texts), cost,
+                        shared.get(id(ar.decision)) or _shared_text(ar.decision, shared), f, m,
+                        shared.get(id(ar.params)) or _shared_text(ar.params, shared),
+                        c, g, m, texts.get(state.t) or _step_text(state.t, texts),
+                    )
+                else:
+                    m = _float_text(m)
+                    pieces += comma, _AGENT % (
+                        key,
+                        "null" if approved is None else "true" if approved is True
+                        else "false" if approved is False else _encode(approved),
+                        "null" if brr is None else _step_text(brr, texts),
+                        _float_text(cost),
+                        _shared_text(ar.decision, shared),
+                        _float_text(f),
+                        m if ar.market_adaptation is state.m else _float_text(ar.market_adaptation),
+                        _shared_text(ar.params, shared),
+                        _float_text(c),
+                        _float_text(g),
+                        m,
+                        _step_text(state.t, texts),
+                    )
+                comma = ","
+            pieces.append(_STEP_TAIL % (
+                _float_text(rec.mean_feedback), _encode(rec.phase), _encode(rec.step), _float_text(rec.threshold),
             ))
+            write("".join(pieces))
             sep = ","
         write("]}\n")
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from regflow import calibration
+from regflow.cli import main
 from regflow.calibration import (
     FitOptions,
     ObservedSeries,
@@ -453,3 +454,37 @@ class TestSeriesCsv:
         back = read_series_csv(path)
         assert back.times == [0.0, 0.1]
         assert back.f_obs == [0.0, 0.5]
+
+    def test_calibrate_checks_the_series_it_reads_once(self, tmp_path, monkeypatch):
+        # read_series_csv checks the series and fit is given the same one:
+        # each observed value goes through _number once
+        obs = generate_synthetic(TRUE_PARAMS, START, 2.0, 0.1, 2, 0.0, 0)
+        path = tmp_path / "series.csv"
+        write_series_csv(obs, path)
+        checked = []
+        number = calibration._number
+
+        def counted(value, where, *rest, **kwargs):
+            checked.append(where)
+            return number(value, where, *rest, **kwargs)
+
+        monkeypatch.setattr(calibration, "_number", counted)
+        assert main(["calibrate", "--obs", str(path), "--max-iter", "1", "--out", str(tmp_path / "out")]) == 0
+        columns = ("times", "g_obs", "c_obs", "m_obs", "f_obs")
+        assert len([where for where in checked if where in columns]) == len(columns) * len(obs)
+
+    @pytest.mark.parametrize("change", ["value", "bool", "append", "column"])
+    def test_a_series_that_passed_is_checked_again_once_changed(self, tmp_path, change):
+        path = tmp_path / "series.csv"
+        write_series_csv(generate_synthetic(TRUE_PARAMS, START, 2.0, 0.1, 2, 0.0, 0), path)
+        obs = read_series_csv(path)
+        if change == "value":
+            obs.g_obs[3] = math.nan
+        elif change == "bool":
+            obs.f_obs[0] = True
+        elif change == "append":
+            obs.m_obs.append(0.5)
+        else:
+            obs.times = list(reversed(obs.times))
+        with pytest.raises(ArgumentError):
+            fit(obs, TRUE_PARAMS, options=FitOptions(max_iter=1), dt=0.1)

@@ -258,7 +258,14 @@ class TestResultWriter:
 
     @settings(max_examples=150, deadline=None)
     @given(result=results())
+    # an agent's market adaptation is a zero of the other sign from its m
     @example(result=signed_zeros_result())
+    # entries that write_result_json cannot write with %r or without a
+    # null: each must give json.dumps's text all the same
+    @example(result=one_result(f=math.inf))
+    @example(result=one_result(compliance_cost=math.nan))
+    @example(result=one_result(state=SystemState(0.05, np.float64(0.5), 0.4, 0.3)))
+    @example(result=one_result(approved=None, brr=None))
     def test_equals_json_dumps(self, tmp_path_factory, result):
         path = tmp_path_factory.mktemp("writer")
         assert written(write_result_json, result, path / "result.json") == compact(result)

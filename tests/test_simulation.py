@@ -105,8 +105,11 @@ class TestRun:
         reused = run(config, profiles, initial, CORPUS)
         monkeypatch.undo()
 
-        def afresh(t, regs, views):
-            return {prof.id: decide(prof, regs, state, env, config.max_step) for prof, state, env in views}
+        def afresh(t, regs, threshold, views):
+            return {
+                prof.id: decide(prof, regs, state, simulation.PolicyEnv(threshold, ok, f), config.max_step)
+                for prof, state, ok, f in views
+            }
 
         reference = simulation._run_engine(config, profiles, initial, CORPUS, afresh)
 
