@@ -37,7 +37,7 @@ from .dynamics import (
     _real,
 )
 from .errors import ArgumentError, ReplyParseError
-from .schema import from_json, parse_json
+from .schema import _load, from_json, parse_json
 
 __all__ = [
     "ManufacturerProfile",
@@ -352,12 +352,8 @@ def parse_llm_reply(
         if missing:
             raise ReplyParseError(f"reply is missing required fields: {missing}")
 
-        comply = data["comply"]
-        if not isinstance(comply, bool):
-            raise ReplyParseError(f"comply must be a boolean, got {data['comply']!r}")
-        rationale = data["rationale"]
-        if not isinstance(rationale, str):
-            raise ReplyParseError("rationale must be a string")
+        comply = _load(bool, data["comply"], "comply")
+        rationale = _load(str, data["rationale"], "rationale")
         raw_adjustments = data["adjustments"]
         if not isinstance(raw_adjustments, dict):
             raise ReplyParseError("adjustments must be an object")

@@ -557,18 +557,13 @@ def result_from_json_dict(data: dict) -> SimulationResult:
     return result
 
 
-def _float_text(x) -> str:
-    """The encoder's text of x: float.__repr__ for a finite float, without
-    a call into the encoder."""
-    return float.__repr__(x) if type(x) is float and math.isfinite(x) else _encode(x)
-
-
-def _step_text(x, texts: dict) -> str:
-    """_float_text(x), kept in texts for the rest of the step unless x is
-    zero: 0.0 == -0.0, but the two have different texts."""
+def _step_text(x: float, texts: dict) -> str:
+    """float.__repr__(x), the encoder's text of a finite float x, kept in
+    texts for the rest of the step unless x is zero: 0.0 == -0.0, but the
+    two have different texts."""
     text = texts.get(x)
     if text is None:
-        text = _float_text(x)
+        text = float.__repr__(x)
         if x:
             texts[x] = text
     return text
@@ -586,13 +581,10 @@ def _shared_text(o, texts: dict) -> str:
 
 _RESULT_HEAD = '{"clamp_events":%s,"config":%s,"llm_fallbacks":%s,"profiles":%s,"records":['
 _STEP_TAIL = '},"mean_feedback":%s,"phase":%s,"step":%s,"threshold":%s}'
-_AGENT = (
-    '%s:{"approved":%s,"brr":%s,"compliance_cost":%s,"decision":%s,"f":%s,"market_adaptation":%s,'
-    '"params":%s,"state":{"c":%s,"g":%s,"m":%s,"t":%s}}'
-)
-#: _AGENT for an entry whose g, c, m, f and compliance cost are finite
-#: floats, whose market adaptation is its m and whose approval is true or
-#: false: %r writes a float as float.__repr__ does
+#: an agent entry whose g, c, m, f, compliance cost and time are finite
+#: floats, whose market adaptation is its m, and whose approval and ratio
+#: are true or false and a finite float, or both null: %r writes a float as
+#: float.__repr__ does
 _AGENT_FLOATS = (
     '%s:{"approved":%s,"brr":%s,"compliance_cost":%r,"decision":%s,"f":%r,"market_adaptation":%s,'
     '"params":%s,"state":{"c":%r,"g":%r,"m":%s,"t":%s}}'
@@ -602,8 +594,12 @@ _AGENT_FLOATS = (
 def write_result_json(result: SimulationResult, path) -> None:
     """Compact sorted JSON plus a newline: the text of json.dumps(result,
     default=json_default, sort_keys=True, separators=(",", ":")), written
-    one step record at a time. Each agent entry is one format of a fixed
-    template; each agent id, decision and coefficient set is encoded once."""
+    one step record at a time. An agent entry that the engine writes (its
+    g, c, m, f, compliance cost and time finite floats, exactly float; its
+    market adaptation its m; its approval true or false with a finite float
+    ratio, or both null) is one format of the _AGENT_FLOATS template, in which
+    each agent id, decision and coefficient set is encoded once per file.
+    Any other entry is the encoder's text of the record."""
 
     def fill(write):
         write(_RESULT_HEAD % tuple(
@@ -622,43 +618,34 @@ def write_result_json(result: SimulationResult, path) -> None:
                 if key is None:
                     key = keys[aid] = encode_basestring_ascii(aid)
                 state, approved, brr = ar.state, ar.approved, ar.brr
-                g, c, m, f, cost = state.g, state.c, state.m, ar.f, ar.compliance_cost
+                g, c, m, t, f, cost = state.g, state.c, state.m, state.t, ar.f, ar.compliance_cost
+                if approved is True or approved is False:
+                    verdict, ratio = "true" if approved else "false", brr
+                elif approved is None and brr is None:
+                    # a decision that does not comply: 0.0 stands in for the ratio
+                    verdict, ratio = "null", 0.0
+                else:
+                    verdict = ratio = None
                 if (
-                    type(g) is type(c) is type(m) is type(f) is type(cost) is float
+                    type(g) is type(c) is type(m) is type(t) is type(f) is type(cost) is type(ratio) is float
                     # all finite: an inf or a nan makes the product nan, as
-                    # does a sum past the float range (that entry takes _AGENT)
-                    and 0.0 * (g + c + m + f + cost) == 0.0
+                    # does a sum past the float range (that entry is encoded)
+                    and 0.0 * (g + c + m + t + f + cost + ratio) == 0.0
                     and ar.market_adaptation is m
-                    and (approved is True or approved is False)
                 ):
                     m = repr(m)
                     # a kept text is never empty: "or" looks it up inline
                     pieces += comma, _AGENT_FLOATS % (
-                        key, "true" if approved else "false", texts.get(brr) or _step_text(brr, texts), cost,
+                        key, verdict, "null" if brr is None else texts.get(brr) or _step_text(brr, texts), cost,
                         shared.get(id(ar.decision)) or _shared_text(ar.decision, shared), f, m,
                         shared.get(id(ar.params)) or _shared_text(ar.params, shared),
-                        c, g, m, texts.get(state.t) or _step_text(state.t, texts),
+                        c, g, m, texts.get(t) or _step_text(t, texts),
                     )
                 else:
-                    m = _float_text(m)
-                    pieces += comma, _AGENT % (
-                        key,
-                        "null" if approved is None else "true" if approved is True
-                        else "false" if approved is False else _encode(approved),
-                        "null" if brr is None else _step_text(brr, texts),
-                        _float_text(cost),
-                        _shared_text(ar.decision, shared),
-                        _float_text(f),
-                        m if ar.market_adaptation is state.m else _float_text(ar.market_adaptation),
-                        _shared_text(ar.params, shared),
-                        _float_text(c),
-                        _float_text(g),
-                        m,
-                        _step_text(state.t, texts),
-                    )
+                    pieces += comma, key, ":", _encode(ar)
                 comma = ","
             pieces.append(_STEP_TAIL % (
-                _float_text(rec.mean_feedback), _encode(rec.phase), _encode(rec.step), _float_text(rec.threshold),
+                _encode(rec.mean_feedback), _encode(rec.phase), _encode(rec.step), _encode(rec.threshold),
             ))
             write("".join(pieces))
             sep = ","

@@ -328,6 +328,7 @@ class TestParseLlmReply:
             ("safety", "9" * 5000, "reply is not valid JSON"),
             ("safety", "[" * 100_000 + "]" * 100_000, "reply is not valid JSON"),
             ("safety", "NaN", "score safety must be finite"),
+            ("comply", "1", "comply must be true or false, got 1"),
             ("rationale", "7", "rationale must be a string"),
             ("adjustments", "[]", "adjustments must be an object"),
         ],
@@ -337,6 +338,7 @@ class TestParseLlmReply:
             "integer-too-long",
             "nested-too-deep",
             "score-nan",
+            "comply-not-a-boolean",
             "rationale-not-a-string",
             "adjustments-not-an-object",
         ],

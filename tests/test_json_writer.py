@@ -1,9 +1,10 @@
 """The JSON outputs: result.json is compact sorted JSON plus a newline, and
 fit.json and metrics.json are json.dumps(obj, sort_keys=True, indent=2)
 plus a newline. Every output is the text json.dumps gives for its own
-parsed content, and a rerun writes the same bytes. result.json is written one
-template per agent entry by simulation.write_result_json, which must give
-exactly json.dumps's compact text, and trajectories.csv one template per row
+parsed content, and a rerun writes the same bytes. result.json is written by
+simulation.write_result_json, one template per engine-made agent entry and
+the encoder's text of any other, which must give exactly json.dumps's
+compact text, and trajectories.csv one template per row
 by write_result_csv, which must give the text of the row formatter it
 replaced, with each agent id quoted as csv.writer quotes it."""
 
@@ -251,6 +252,17 @@ def signed_zeros_result() -> SimulationResult:
     return result
 
 
+def ints_beside_floats_result() -> SimulationResult:
+    """One step whose agents A, B and C have ratios 5.0, 5 and 5.0 and
+    times 1.0, 1.0 and 1: json.dumps writes the ints as 5 and 1, though
+    each equals a float of the same step."""
+    result = one_result(state=SystemState(1.0, 0.5, 0.4, 0.3), brr=5.0)
+    agents = result.records[0].agents
+    agents["B"] = dataclasses.replace(agents["A"], brr=5)
+    agents["C"] = dataclasses.replace(agents["A"], state=SystemState(1, 0.5, 0.4, 0.3))
+    return result
+
+
 class TestResultWriter:
     """simulation.write_result_json writes exactly json.dumps(result,
     default=json_default, sort_keys=True, separators=(",", ":")) and a
@@ -260,11 +272,14 @@ class TestResultWriter:
     @given(result=results())
     # an agent's market adaptation is a zero of the other sign from its m
     @example(result=signed_zeros_result())
-    # entries that write_result_json cannot write with %r or without a
-    # null: each must give json.dumps's text all the same
+    # entries that write_result_json writes as the encoder's text of the
+    # record, not with its template: each must give json.dumps's text all the
+    # same, an int beside an equal float of the same step included
     @example(result=one_result(f=math.inf))
     @example(result=one_result(compliance_cost=math.nan))
     @example(result=one_result(state=SystemState(0.05, np.float64(0.5), 0.4, 0.3)))
+    @example(result=ints_beside_floats_result())
+    # an abstention: the template with a null approval and ratio
     @example(result=one_result(approved=None, brr=None))
     def test_equals_json_dumps(self, tmp_path_factory, result):
         path = tmp_path_factory.mktemp("writer")
@@ -314,6 +329,31 @@ def small_config(**overrides):
     return SimulationConfig(**defaults)
 
 
+def abstaining_run(profiles) -> SimulationResult:
+    """A six-step scripted run in which each agent abstains (comply false,
+    no submission, warnings) on alternate steps and files on the others."""
+    script = {}
+    for t in range(6):
+        for i, p in enumerate(profiles):
+            if (t + i) % 2:
+                script[(t, p.id)] = AgentDecision(
+                    comply=False,
+                    adjustments=ParameterAdjustment(deltas={}),
+                    submission=None,
+                    rationale="hold é\x01",
+                    warnings=("score 11 clipped to 10", "unknown key 'x' dropped"),
+                )
+            else:
+                script[(t, p.id)] = AgentDecision(
+                    comply=True,
+                    adjustments=ParameterAdjustment(deltas={"alpha1": 0.01, "phi2": -0.02}),
+                    submission=Submission(p.id, 7, 6, 8, 3, regulation_ids=("R1",)),
+                    rationale="file",
+                )
+    config = small_config(policy_kind="scripted")
+    return run_scripted(config, profiles, default_initial(profiles), CORPUS, script)
+
+
 def assert_result_bytes(first, second, tmp_path):
     """result.json of two runs of the same inputs: compact sorted JSON plus a
     newline, and the same bytes both times."""
@@ -333,28 +373,7 @@ class TestResultFiles:
 
     def test_scripted_run_with_abstentions_and_warnings(self, tmp_path):
         profiles = list(DEFAULT_PROFILES)[:3]
-        script = {}
-        for t in range(6):
-            for i, p in enumerate(profiles):
-                if (t + i) % 2:
-                    script[(t, p.id)] = AgentDecision(
-                        comply=False,
-                        adjustments=ParameterAdjustment(deltas={}),
-                        submission=None,
-                        rationale="hold é\x01",
-                        warnings=("score 11 clipped to 10", "unknown key 'x' dropped"),
-                    )
-                else:
-                    script[(t, p.id)] = AgentDecision(
-                        comply=True,
-                        adjustments=ParameterAdjustment(deltas={"alpha1": 0.01, "phi2": -0.02}),
-                        submission=Submission(p.id, 7, 6, 8, 3, regulation_ids=("R1",)),
-                        rationale="file",
-                    )
-        config = small_config(policy_kind="scripted")
-        first, second = (
-            run_scripted(config, profiles, default_initial(profiles), CORPUS, script) for _ in range(2)
-        )
+        first, second = (abstaining_run(profiles) for _ in range(2))
         write_result_json(first, tmp_path / "result.json")
         data = json.loads((tmp_path / "result.json").read_bytes())
         decisions = [a["decision"] for rec in data["records"] for a in rec["agents"].values()]
@@ -372,6 +391,47 @@ class TestResultFiles:
             first, second = (run(config, profiles, default_initial(profiles), CORPUS) for _ in range(2))
         assert first.llm_fallbacks == 6
         assert_result_bytes(first, second, tmp_path)
+
+    def test_engine_entries_take_the_template(self, tmp_path, monkeypatch):
+        """No agent entry of a rule, scripted or llm run is encoded whole:
+        each is one format of _AGENT_FLOATS, abstentions (a null approval
+        and ratio) included."""
+        profiles = list(DEFAULT_PROFILES)
+        abstain = json.dumps({
+            "comply": False, "adjustments": {"alpha2": 0.015}, "safety": 8, "effectiveness": 7, "compliance": 9,
+            "adverse": 4, "rationale": "stub abstains",
+        })
+        with StubLLMServer(behavior="reply", reply_content=abstain) as server:
+            llm = ClientConfig(endpoint=server.url, model="stub", timeout=5.0, retries=1)
+            config = small_config(total_steps=2, policy_kind="llm", llm=llm)
+            results = [
+                run(SimulationConfig(), profiles, default_initial(profiles), CORPUS),
+                abstaining_run(profiles[:3]),
+                run(config, profiles[:3], default_initial(profiles[:3]), CORPUS),
+            ]
+        assert results[2].llm_fallbacks == 0
+        for result in results[1:]:
+            assert any(ar.approved is None for rec in result.records for ar in rec.agents.values())
+        encode = regflow.simulation._encode
+        encoded, formatted = [], []
+
+        def spy(obj):
+            if isinstance(obj, AgentStepRecord):
+                encoded.append(obj)
+            return encode(obj)
+
+        class Template(str):
+            def __mod__(self, values):
+                formatted.append(values[0])
+                return str.__mod__(self, values)
+
+        monkeypatch.setattr(regflow.simulation, "_encode", spy)
+        monkeypatch.setattr(regflow.simulation, "_AGENT_FLOATS", Template(regflow.simulation._AGENT_FLOATS))
+        for i, result in enumerate(results):
+            formatted.clear()
+            assert written(write_result_json, result, tmp_path / f"{i}.json") == compact(result)
+            assert encoded == []
+            assert len(formatted) == sum(len(rec.agents) for rec in result.records)
 
     def test_signed_zeros_keep_their_sign(self, tmp_path):
         """A float memo that caches zeros would write one agent's -0.0 as the

@@ -9,7 +9,10 @@ the four benchmark workloads at seed 1, and prints {output: sha256} as
 sorted JSON. The default commands are
 `simulate --seed 1`, `metrics --groups auto` on its result, `sweep`,
 `corpus print`, and `calibrate` on a noise-free series that the package
-writes first (its obs.csv is hashed too). The workload inputs come from
+writes first (its obs.csv is hashed too). One `simulate --policy scripted`
+run of the default roster follows a script, written by this tool, in which
+every other agent-step abstains (no submission, so a null approval and
+ratio). The workload inputs come from
 this checkout's bench/workloads.build, whichever checkout runs them, so
 two checkouts are compared on the same inputs. simulate_llm runs against
 this checkout's bench/stub.py, started as a child process on an ephemeral
@@ -56,6 +59,33 @@ DEFAULT_COMMANDS = (
 DEFAULT_OUTPUTS = (
     "obs.csv", "result.json", "trajectories.csv", "metrics.json", "sweep.csv", "fit.json", "corpus.json",
 )
+SCRIPTED_STEPS = 12
+# the default roster's ids; agent i abstains at step t when t + i is odd
+SCRIPT = [
+    {
+        "step": t,
+        "agent": aid,
+        "decision": {
+            "comply": False,
+            "rationale": "hold",
+            "warnings": ["score 11 clipped to 10"],
+        } if (t + i) % 2 else {
+            "comply": True,
+            "adjustments": {"alpha1": 0.01 * (i % 3), "phi2": -0.02},
+            "submission": {
+                "agent_id": aid, "safety": 3 + i % 7, "effectiveness": 6, "compliance": 8, "adverse": 1 + t % 5,
+                "regulation_ids": ["R1"],
+            },
+            "rationale": "file",
+        },
+    }
+    for t in range(SCRIPTED_STEPS)
+    for i, aid in enumerate("ABCDEFGHIJ")
+]
+SCRIPTED_COMMAND = [
+    "simulate", "--policy", "scripted", "--script", "scripted/script.json", "--steps", str(SCRIPTED_STEPS),
+    "--seed", "1", "--out", "scripted",
+]
 
 
 def _python(root: str, args: list[str], stdout=subprocess.DEVNULL) -> None:
@@ -118,6 +148,12 @@ def output_hashes(root: str) -> dict[str, str]:
                 _python(root, ["-c", CLI, "corpus", "print"], stdout=fh)
             for name in DEFAULT_OUTPUTS:
                 hashes[f"default/{name}"] = _sha256(f"default/{name}")
+            os.makedirs("scripted")
+            with open("scripted/script.json", "w", encoding="utf-8") as fh:
+                json.dump(SCRIPT, fh)
+            _python(root, ["-c", CLI, *SCRIPTED_COMMAND])
+            for name in ("result.json", "trajectories.csv"):
+                hashes[f"scripted/{name}"] = _sha256(f"scripted/{name}")
             stub, endpoint = _start_stub()
             for name in WORKLOADS:
                 llm = endpoint if name == "simulate_llm" else None
