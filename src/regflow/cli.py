@@ -291,6 +291,7 @@ def _parse_groups_spec(spec: str, profiles: list[ManufacturerProfile]) -> dict[s
             groups.setdefault(profile.resource_tier, []).append(profile.id)
         return {name: sorted(ids) for name, ids in sorted(groups.items())}
     groups = {}
+    seen: set[str] = set()
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -298,10 +299,17 @@ def _parse_groups_spec(spec: str, profiles: list[ManufacturerProfile]) -> dict[s
         if ":" not in part:
             raise ArgumentError(f"bad --groups entry {part!r}; expected name:id,id,...")
         name, ids = part.split(":", 1)
+        name = name.strip()
+        if name in groups:
+            raise ArgumentError(f"group {name!r} appears twice in --groups")
         members = [a.strip() for a in ids.split(",") if a.strip()]
         if not members:
             raise ArgumentError(f"group {name!r} has no members")
-        groups[name.strip()] = members
+        for aid in members:
+            if aid in seen:
+                raise ArgumentError(f"agent {aid!r} appears twice in --groups")
+            seen.add(aid)
+        groups[name] = members
     if not groups:
         raise ArgumentError("--groups spec is empty")
     return groups

@@ -21,17 +21,17 @@ Integration is fixed-step classical RK4. After every step each component
 is clamped at zero (the quantities are semantically non-negative) and the
 number of clamp events is counted so runs can be audited. All functions
 here are pure; identical inputs give bit-identical outputs. The one state
-the module keeps is a memo of the time terms 1 - exp(-phi1 * t) of the two
-runs integrated last (see _time_terms): they depend on no state, so agents
-and integrations that share phi1, t0, h and the step count share them, and
-a result never depends on what ran before it.
+the module keeps is _time_table, an lru_cache of the time terms
+1 - exp(-phi1 * t) of the two runs integrated last: they depend on no
+state, so agents and integrations with equal phi1, t0, h and step count
+share them, and a result never depends on what ran before it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import struct
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
@@ -301,52 +301,32 @@ def eval_feedback(state: SystemState, p: ModelParameters) -> float:
 # integration
 # ---------------------------------------------------------------------------
 
-#: Runs of at most this many steps keep their time terms in the memo, as a
-#: list of about 600 KB at most; a longer run computes them as it goes.
+#: Runs of at most this many steps read their time terms from _time_table,
+#: a list of about 600 KB at most; a longer run computes them as it goes.
 _TERMS_STEPS = 4096
-# the exact bits of (phi1, t0, h, n): 0.0 == -0.0, so a float key could
-# hand one the other's terms
-_terms_key = struct.Struct("<3dq").pack
-# (key, terms or None) of the two runs whose time terms were asked for
-# last, newest first. Two, because calibration returns to its base point
-# after its phi1 probe.
-_recent_terms: tuple = ((None, None), (None, None))
 
 
-def _time_table(nf1: float, t0: float, h: float, n: int) -> list:
-    """[(w(t), w(t + h/2), w(t + h))] for each step k of an n-step run from
-    t0 in steps of h, where t = t0 + k*h and w(t) = 1 - exp(nf1 * t), the
-    factor of alpha1 in dg/dt, each as _rk4_run computes it inline. From
-    t0 >= 0 every exponent is <= 0, where math.exp equals the guarded _exp."""
+def _time_rows(nf1: float, t0: float, h: float, n: int):
+    """(w(t), w(t + h/2), w(t + h)) for each step k of an n-step run from t0
+    in steps of h, where t = t0 + k*h and w(t) = 1 - exp(nf1 * t), the
+    factor of alpha1 in dg/dt. From t0 >= 0 every exponent is <= 0, where
+    math.exp equals the guarded _exp."""
     exp = math.exp if t0 >= 0.0 else _exp
     half = 0.5 * h
-    return [
-        (1.0 - exp(nf1 * t), 1.0 - exp(nf1 * (t + half)), 1.0 - exp(nf1 * (t + h)))
-        for t in [t0 + k * h for k in range(n)]
-    ]
+    for k in range(n):
+        t = t0 + k * h
+        yield 1.0 - exp(nf1 * t), 1.0 - exp(nf1 * (t + half)), 1.0 - exp(nf1 * (t + h))
 
 
-def _time_terms(phi1: float, t0: float, h: float, n: int) -> list | None:
-    """The time terms of an n-step run as _time_table gives them, or None
-    where the caller computes them as it goes: for a run whose key is not
-    among the last two, so a run that is never repeated builds no table,
-    and for a run of more than _TERMS_STEPS steps. A new key replaces the
-    older one; a kept key's table is built on its second sight. Callers
-    only read the table."""
-    global _recent_terms
-    if n > _TERMS_STEPS:
-        return None
-    key = _terms_key(phi1, t0, h, n)
-    newest, older = _recent_terms
-    if newest[0] != key:
-        if older[0] != key:
-            _recent_terms = (key, None), newest
-            return None
-        newest, older = older, newest
-    if newest[1] is None:
-        newest = key, _time_table(-phi1, t0, h, n)
-    _recent_terms = newest, older
-    return newest[1]
+# Two, because calibration returns to its base point after its phi1 probe.
+# Typed: past 2**53 an int t0 + k*h rounds once where an equal float's
+# rounds twice, so an int key must not read a float key's table.
+@functools.lru_cache(maxsize=2, typed=True)
+def _time_table(nf1: float, t0: float, h: float, n: int) -> list:
+    """_time_rows as a list, kept for the two runs asked for last. Equal
+    keys give equal terms: a zero nf1 or t of either sign gives w = 0.0.
+    Callers only read the list."""
+    return list(_time_rows(nf1, t0, h, n))
 
 
 def _rk4_run(
@@ -370,11 +350,12 @@ def _rk4_run(
     Each stage evaluates f, dg, dc and dm as the module docstring writes
     them, in that order and with its grouping, so a stage is bit for bit
     the right-hand side at the stage point. The factor 1 - exp(-phi1 * t)
-    of dg comes from _time_terms when it keeps the run's time terms.
-    A step runs on math.exp and is redone with the guarded _exp if
-    math.exp overflows or a stage g or c is negative: only then can an
-    exponent exceed 709, where _exp gives inf but math.exp still gives a
-    finite value up to about 709.78. A negative t0 uses _exp throughout.
+    of dg comes from _time_rows: through _time_table for a run of at most
+    _TERMS_STEPS steps, step by step for a longer one. Every step runs on
+    math.exp and is redone with the guarded _exp if math.exp overflows or
+    a stage g or c is negative: only then can an exponent exceed 709,
+    where _exp gives inf but math.exp still gives a finite value up to
+    about 709.78.
     """
     a1, a2, a3, a4 = p.alpha1, p.alpha2, p.alpha3, p.alpha4
     nf1, nf2, nf3, nf4 = -p.phi1, -p.phi2, -p.phi3, -p.phi4
@@ -382,19 +363,13 @@ def _rk4_run(
     g1, g2 = p.gamma1, p.gamma2
     half = 0.5 * h
     sixth = h / 6.0
-    fast_exp = math.exp if t0 >= 0.0 else _exp
+    math_exp = math.exp
     inf = math.inf
     cost = 0.0
     clamps = 0
-    terms = _time_terms(p.phi1, t0, h, n)
-    for k in range(n):
-        if terms is None:
-            # the step's time terms as _time_table computes them
-            t = t0 + k * h
-            w1, w2, w4 = 1.0 - fast_exp(nf1 * t), 1.0 - fast_exp(nf1 * (t + half)), 1.0 - fast_exp(nf1 * (t + h))
-        else:
-            w1, w2, w4 = terms[k]
-        exp = fast_exp
+    terms = _time_table(nf1, t0, h, n) if n <= _TERMS_STEPS else _time_rows(nf1, t0, h, n)
+    for k, (w1, w2, w4) in enumerate(terms):
+        exp = math_exp
         while True:
             try:
                 # stage 1 at (t, g, c, m); d is also the cost integrand
@@ -541,15 +516,11 @@ def advance(
 # ---------------------------------------------------------------------------
 
 def _write_text(path, pieces) -> None:
-    """Write text to path as UTF-8 with "\n" line ends: an iterable of text
-    pieces, or a function that writes its text through the write function
-    it is given. ArgumentError naming the path when it cannot be written,
-    for example when it is a directory."""
+    """Write an iterable of text pieces to path as UTF-8 with "\n" line
+    ends. ArgumentError naming the path when it cannot be written, for
+    example when it is a directory."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if callable(pieces):
-                pieces(fh.write)
-            else:
-                fh.writelines(pieces)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ArgumentError(f"cannot write {path}: {exc}") from None

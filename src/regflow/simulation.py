@@ -601,10 +601,10 @@ def write_result_json(result: SimulationResult, path) -> None:
     each agent id, decision and coefficient set is encoded once per file.
     Any other entry is the encoder's text of the record."""
 
-    def fill(write):
-        write(_RESULT_HEAD % tuple(
+    def steps():
+        yield _RESULT_HEAD % tuple(
             _encode(v) for v in (result.clamp_events, result.config, result.llm_fallbacks, result.profiles)
-        ))
+        )
         shared: dict[int, str] = {}
         keys: dict[str, str] = {}
         sep = ""
@@ -647,11 +647,11 @@ def write_result_json(result: SimulationResult, path) -> None:
             pieces.append(_STEP_TAIL % (
                 _encode(rec.mean_feedback), _encode(rec.phase), _encode(rec.step), _encode(rec.threshold),
             ))
-            write("".join(pieces))
+            yield "".join(pieces)
             sep = ","
-        write("]}\n")
+        yield "]}\n"
 
-    _write_text(path, fill)
+    _write_text(path, steps())
 
 
 def _csv_field(text: str) -> str:

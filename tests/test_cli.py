@@ -555,6 +555,22 @@ class TestMetricsCommand:
         assert main(["metrics", "--result", str(result_path), "--groups", spec, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("x:A,B,C;x:D,E;y:F,G,H", "group 'x' appears twice in --groups"),
+            ("x:A,A,B;y:F,G,H", "agent 'A' appears twice in --groups"),
+            ("x:A,B;y:B,C", "agent 'B' appears twice in --groups"),
+        ],
+        ids=["group-twice", "agent-twice-in-a-group", "agent-in-two-groups"],
+    )
+    def test_repeated_group_or_agent_exits_2(self, result_path, tmp_path, capsys, spec, message):
+        # a repeated group would replace the first one's members, and a
+        # repeated agent would count twice in the Welch test
+        assert main(["metrics", "--result", str(result_path), "--groups", spec, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_result_without_records_exits_2(self, result_path, tmp_path, capsys):
         data = json.loads(result_path.read_text())
         data["records"] = []

@@ -496,8 +496,9 @@ time_call = st.fixed_dictionaries({
     "p": params_st,
     "alpha1": signed_zero | coefficient("alpha1"),
     "phi1": signed_zero | st.sampled_from([1.0, 2.5]) | coefficient("phi1"),
-    "t0": signed_zero | st.sampled_from([-709.5, -3.0]) | st.floats(-50.0, 50.0),
-    "h": st.floats(0.001, 2.0),
+    # ints equal to floats drawn here, so runs with equal keys of either type meet
+    "t0": signed_zero | st.sampled_from([-709.5, -3.0, -3, 0, 2.0, 2]) | st.floats(-50.0, 50.0),
+    "h": st.sampled_from([1.0, 1, 2.0, 2]) | st.floats(0.001, 2.0),
     "n": st.integers(1, 12),
     "state": st.tuples(st.just(-0.0) | component_st, component_st, component_st),
     # which of alpha1, phi1, t0, h and n the call takes from the one before
@@ -507,9 +508,9 @@ time_call = st.fixed_dictionaries({
 
 
 class TestTimeTermMemo:
-    """The time terms 1 - exp(-phi1 * t) are shared between runs with the
-    same bits of phi1, t0 and h and the same step count; every run still
-    equals the reference bit for bit, whatever ran before it."""
+    """The time terms 1 - exp(-phi1 * t) are shared between runs with equal
+    phi1, t0 and h and the same step count; every run still equals the
+    reference bit for bit, whatever ran before it."""
 
     @settings(max_examples=200, deadline=None)
     @given(calls=st.lists(time_call, min_size=2, max_size=5))
@@ -539,6 +540,19 @@ class TestTimeTermMemo:
             assert run_bits(kernel_run, *args) == run_bits(ref_run, *args)
             assert run_bits(kernel_run, *args)[0][-1] == bits(math.copysign(0.0, alpha1), 0.0, 0.0)
 
+    def test_int_key_after_the_equal_float_key(self):
+        # each int run follows the float run of equal t0 and h; past 2**53
+        # their sums t0 + k*h can round differently, which the last case's
+        # tiny phi1 carries into g by step 50
+        cases = [
+            (DEFAULT_PARAMETERS, 3.0, 1.0),
+            (ModelParameters(alpha1=1.0, phi1=1.854722835381216e-19), 2.751788642814995e16, 1.2212808701218117e17),
+        ]
+        for p, t0, h in cases:
+            for key_t0, key_h in ((t0, h), (int(t0), int(h))):
+                args = (p, key_t0, 0.5, 0.5, 0.5, key_h, 50)
+                assert run_bits(kernel_run, *args) == run_bits(ref_run, *args)
+
     def test_redo_after_a_memo_hit(self):
         # the same key three times, so the last runs on the kept terms; the
         # last start drags g through zero, so stages go negative and each
@@ -556,8 +570,8 @@ class TestTimeTermMemo:
             assert outcome(kernel_advance, state, p, dt, 1) == ("NumericalError", 0)
 
     def test_a_long_run_builds_no_table(self):
-        # run twice, as a memo that kept it would build the table on the
-        # second sight; a table of 30,000 steps' terms takes about 4.3 MB
+        # run twice, as a memo that kept it would hold the table from the
+        # first; a table of 30,000 steps' terms takes about 4.3 MB
         state = SystemState(0.0, 0.5, 0.5, 0.5)
         tracemalloc.start()
         try:

@@ -315,7 +315,7 @@ class TestResultWriter:
         profiles = list(DEFAULT_PROFILES)
         result = run(small_config(), profiles, default_initial(profiles), CORPUS)
         parts = []
-        monkeypatch.setattr(regflow.simulation, "_write_text", lambda path, fill: fill(parts.append))
+        monkeypatch.setattr(regflow.simulation, "_write_text", lambda path, pieces: parts.extend(pieces))
         write_result_json(result, "unused")
         assert len(parts) == 2 + len(result.records)
         assert parts[0].endswith('"records":[') and parts[-1] == "]}\n"

@@ -9,7 +9,9 @@ the four benchmark workloads at seed 1, and prints {output: sha256} as
 sorted JSON. The default commands are
 `simulate --seed 1`, `metrics --groups auto` on its result, `sweep`,
 `corpus print`, and `calibrate` on a noise-free series that the package
-writes first (its obs.csv is hashed too). One `simulate --policy scripted`
+writes first (its obs.csv is hashed too). Two more runs reach the RK4
+kernel's rarer time-term paths: `calibrate` on the same series shifted to
+start at t = -2.0, and a 5,000-step `sweep` of phi1. One `simulate --policy scripted`
 run of the default roster follows a script, written by this tool, in which
 every other agent-step abstains (no submission, so a null approval and
 ratio). The workload inputs come from
@@ -43,12 +45,15 @@ SEED = 1
 ENDPOINT_PLACEHOLDER = b"http://stub/v1/chat/completions"
 
 CLI = "import sys; from regflow.cli import main; sys.exit(main(sys.argv[1:]))"
-# the series of the CI bare-install check
+# the series of the CI bare-install check, and the same series from t = -2.0
 OBS = """
+from dataclasses import replace
 from regflow.calibration import generate_synthetic, write_series_csv
 from regflow.dynamics import DEFAULT_PARAMETERS, SystemState
 truth = DEFAULT_PARAMETERS.replace(alpha1=0.6, beta2=0.3, phi4=0.9)
-write_series_csv(generate_synthetic(truth, SystemState(0.0, 0.4, 0.3, 0.2), 3.0, 0.05, 2, 0.0, 0), "default/obs.csv")
+obs = generate_synthetic(truth, SystemState(0.0, 0.4, 0.3, 0.2), 3.0, 0.05, 2, 0.0, 0)
+write_series_csv(obs, "default/obs.csv")
+write_series_csv(replace(obs, times=[t - 2.0 for t in obs.times]), "time_terms/obs.csv")
 """
 DEFAULT_COMMANDS = (
     ["simulate", "--seed", "1", "--out", "default"],
@@ -59,6 +64,14 @@ DEFAULT_COMMANDS = (
 DEFAULT_OUTPUTS = (
     "obs.csv", "result.json", "trajectories.csv", "metrics.json", "sweep.csv", "fit.json", "corpus.json",
 )
+# a calibration from a negative start time, whose time terms take the
+# guarded exp, and a phi1 sweep of 5,000 steps per value, past
+# dynamics._TERMS_STEPS, so its time terms are never kept
+TIME_TERM_COMMANDS = (
+    ["calibrate", "--obs", "time_terms/obs.csv", "--max-iter", "50", "--out", "time_terms"],
+    ["sweep", "--parameter", "phi1", "--values", "0.3,0.6,0.9", "--horizon", "250", "--out", "time_terms"],
+)
+TIME_TERM_OUTPUTS = ("obs.csv", "fit.json", "sweep.csv")
 SCRIPTED_STEPS = 12
 # the default roster's ids; agent i abstains at step t when t + i is odd
 SCRIPT = [
@@ -141,6 +154,7 @@ def output_hashes(root: str) -> dict[str, str]:
         os.chdir(work)
         try:
             os.makedirs("default")
+            os.makedirs("time_terms")
             _python(root, ["-c", OBS])
             for argv in DEFAULT_COMMANDS:
                 _python(root, ["-c", CLI, *argv])
@@ -148,6 +162,10 @@ def output_hashes(root: str) -> dict[str, str]:
                 _python(root, ["-c", CLI, "corpus", "print"], stdout=fh)
             for name in DEFAULT_OUTPUTS:
                 hashes[f"default/{name}"] = _sha256(f"default/{name}")
+            for argv in TIME_TERM_COMMANDS:
+                _python(root, ["-c", CLI, *argv])
+            for name in TIME_TERM_OUTPUTS:
+                hashes[f"time_terms/{name}"] = _sha256(f"time_terms/{name}")
             os.makedirs("scripted")
             with open("scripted/script.json", "w", encoding="utf-8") as fh:
                 json.dump(SCRIPT, fh)
