@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .dynamics import (
     PARAM_FIELDS,
@@ -33,13 +33,11 @@ from .dynamics import (
     _integration_steps,
     _number,
     _rk4_run,
+    _total,
     _write_text,
     integrate,  # unused here; bench/tracing.py wraps it by this module's name
 )
 from .errors import ArgumentError, NumericalError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MetricsReport",
@@ -86,8 +84,8 @@ def compliance_stability(c_series: Sequence[float]) -> float:
     n = len(c_series)
     if n == 0:
         raise ArgumentError("stability needs at least one sample")
-    mean = sum(c_series) / n
-    return sum((c - mean) ** 2 for c in c_series) / n
+    mean = _total(c_series) / n
+    return _total((c - mean) ** 2 for c in c_series) / n
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,7 @@ def metrics_report(
         adherence_accuracy=adherence_accuracy(c_series, g_series, epsilon),
         compliance_stability=compliance_stability(c_series),
         epsilon=epsilon,
-        mean_compliance=sum(c_series) / len(c_series),
+        mean_compliance=_total(c_series) / len(c_series),
     )
 
 
@@ -207,73 +205,90 @@ class WelchAnovaResult:
     variance_explained: float
 
 
-def _check_groups(groups: Sequence[Sequence[float]]) -> list[np.ndarray]:
-    import numpy as np
-
+def _check_groups(groups: Sequence[Sequence[float]]) -> list[list[float]]:
     if len(groups) < 2:
         raise ArgumentError("need at least 2 groups")
-    arrays = []
+    checked = []
     for i, g in enumerate(groups):
-        arr = np.asarray(g, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
+        try:
+            values = [float(v) for v in g]
+        except TypeError:
+            # a scalar, or a group of sequences
+            values = []
+        if len(values) < 2:
             raise ArgumentError(f"group {i} needs at least 2 values")
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, values)):
             raise ArgumentError(f"group {i} contains non-finite values")
-        arrays.append(arr)
-    return arrays
+        checked.append(values)
+    return checked
 
 
-def _eta_squared(arrays: list[np.ndarray]) -> float:
-    import numpy as np
+def _mean(values: list[float]) -> float:
+    return math.fsum(values) / len(values)
 
-    values = np.concatenate(arrays)
-    grand = values.mean()
-    ss_total = float(np.sum((values - grand) ** 2))
+
+def _eta_squared(groups: list[list[float]], means: list[float]) -> float:
+    values = [v for g in groups for v in g]
+    grand = _mean(values)
+    ss_total = math.fsum((v - grand) ** 2 for v in values)
     if ss_total == 0.0:
         return 0.0
-    ss_between = float(sum(a.size * (a.mean() - grand) ** 2 for a in arrays))
+    ss_between = math.fsum(len(g) * (mean - grand) ** 2 for g, mean in zip(groups, means))
     return ss_between / ss_total
 
 
 def welch_anova(groups: Sequence[Sequence[float]]) -> WelchAnovaResult:
-    """Welch's heteroscedastic one-way ANOVA over two or more groups."""
-    import numpy as np
+    """Welch's heteroscedastic one-way ANOVA over two or more groups. Every
+    sum is math.fsum's, exactly rounded; NumericalError when a statistic
+    leaves the float range."""
+    checked = _check_groups(groups)
+    try:
+        return _welch(checked)
+    except OverflowError:
+        raise NumericalError("Welch ANOVA: the group statistics overflow the float range") from None
 
-    arrays = _check_groups(groups)
-    k = len(arrays)
-    n = np.array([a.size for a in arrays], dtype=float)
-    means = np.array([a.mean() for a in arrays])
-    variances = np.array([a.var(ddof=1) for a in arrays])
 
-    if np.all(variances == 0.0):
-        if np.all(means == means[0]):
+def _welch(checked: list[list[float]]) -> WelchAnovaResult:
+    k = len(checked)
+    n = [len(g) for g in checked]
+    means = [_mean(g) for g in checked]
+    variances = [
+        math.fsum((v - mean) ** 2 for v in g) / (len(g) - 1) for g, mean in zip(checked, means)
+    ]
+
+    if all(v == 0.0 for v in variances):
+        if all(mean == means[0] for mean in means):
             return WelchAnovaResult(
                 f_stat=0.0,
                 df1=k - 1,
-                df2=float(n.sum() - k),
+                df2=float(sum(n) - k),
                 p_value=1.0,
                 variance_explained=0.0,
             )
         raise ArgumentError(
             "degenerate groups: zero variance everywhere with unequal means"
         )
-    if np.any(variances == 0.0):
+    if 0.0 in variances:
         raise ArgumentError("a group has zero variance; Welch weights are undefined")
 
-    w = n / variances
-    w_sum = w.sum()
-    grand = float(np.dot(w, means) / w_sum)
-    numerator = float(np.dot(w, (means - grand) ** 2)) / (k - 1)
-    tmp = float(np.sum((1.0 - w / w_sum) ** 2 / (n - 1.0))) / (k * k - 1.0)
+    w = [size / var for size, var in zip(n, variances)]
+    w_sum = math.fsum(w)
+    grand = math.fsum(wi * mean for wi, mean in zip(w, means)) / w_sum
+    numerator = math.fsum(wi * (mean - grand) ** 2 for wi, mean in zip(w, means)) / (k - 1)
+    tmp = math.fsum((1.0 - wi / w_sum) ** 2 / (size - 1.0) for wi, size in zip(w, n)) / (k * k - 1.0)
     f_stat = numerator / (1.0 + 2.0 * (k - 2.0) * tmp)
     df2 = 1.0 / (3.0 * tmp)
+    # an inf or nan here comes from a term past the float range, the
+    # failure an overflowing sum reports
+    if not (math.isfinite(f_stat) and math.isfinite(df2)):
+        raise OverflowError
     p_value = f_sf(f_stat, float(k - 1), df2)
     return WelchAnovaResult(
         f_stat=f_stat,
         df1=k - 1,
         df2=df2,
         p_value=p_value,
-        variance_explained=_eta_squared(arrays),
+        variance_explained=_eta_squared(checked, means),
     )
 
 
@@ -289,8 +304,8 @@ def bonferroni_pairwise(
     labels: Sequence[str] | None = None,
 ) -> list[PairwiseComparison]:
     """All pairwise two-group Welch tests with Bonferroni adjustment."""
-    arrays = _check_groups(groups)
-    k = len(arrays)
+    checked = _check_groups(groups)
+    k = len(checked)
     if labels is None:
         labels = [str(i) for i in range(k)]
     elif len(labels) != k:
@@ -299,7 +314,7 @@ def bonferroni_pairwise(
     n_pairs = len(pairs)
     out = []
     for i, j in pairs:
-        res = welch_anova([arrays[i], arrays[j]])
+        res = welch_anova([checked[i], checked[j]])
         out.append(
             PairwiseComparison(
                 pair=(str(labels[i]), str(labels[j])),

@@ -33,6 +33,7 @@ from .dynamics import (
     _integrate_raw,
     _number,
     _step_count,
+    _total,
     _write_text,
     integrate,
 )
@@ -187,15 +188,54 @@ def objective(
     return _sum_squares(_residuals(p, obs, dt, _prepare(obs, dt)))
 
 
-def _sum_squares(rows) -> tuple[float, tuple[float, float, float, float]]:
+def _sum_squares(rows) -> tuple[float, tuple[float, ...]]:
+    """Each row's sum of squares and their total, every sum taken left to
+    right with one rounding per addition."""
     components = []
     for row in rows:
         e = 0.0
         for v in row:
             e += v ** 2
         components.append(e)
-    e_g, e_c, e_m, e_f = components
-    return e_g + e_c + e_m + e_f, (e_g, e_c, e_m, e_f)
+    return _total(components), tuple(components)
+
+
+def _dot(a, b) -> float:
+    """Sum of a[i] * b[i], taken left to right like _sum_squares."""
+    s = 0.0
+    for u, v in zip(a, b):
+        s += u * v
+    return s
+
+
+def _gram(vectors) -> list[list[float]]:
+    """The lower triangle, by rows, of the dot products of an even number
+    of equal-length vectors: row i holds _dot(vectors[i], vectors[j]) for
+    j <= i, bit for bit. One pass over two rows and two columns makes four
+    sums at once, which shares the cost of the loop among them."""
+    gram = []
+    for i in range(0, len(vectors), 2):
+        a, b = vectors[i], vectors[i + 1]
+        row_a, row_b = [], []
+        for j in range(0, i, 2):
+            c, d = vectors[j], vectors[j + 1]
+            ac = ad = bc = bd = 0.0
+            for u, v, w, x in zip(a, b, c, d):
+                ac += u * w
+                ad += u * x
+                bc += v * w
+                bd += v * x
+            row_a += (ac, ad)
+            row_b += (bc, bd)
+        aa = ba = bb = 0.0
+        for u, v in zip(a, b):
+            aa += u * u
+            ba += v * u
+            bb += v * v
+        row_a.append(aa)
+        row_b += (ba, bb)
+        gram += (row_a, row_b)
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +250,45 @@ _FD_STEP = math.sqrt(_EPS)
 _MAX_DAMPING = 1e16
 
 
+def _damped_step(jtj, grad, free, damping):
+    """The step s over the coordinates in free (ascending) that solves
+    (JᵀJ + diag(damping)) s = -grad, by Cholesky; jtj holds JᵀJ's lower
+    triangle by rows. None when a pivot is not positive or s not finite."""
+    low = []
+    for a, i in enumerate(free):
+        row = []
+        for b, j in enumerate(free[:a]):
+            row.append((jtj[i][j] - _dot(row, low[b])) / low[b][b])
+        pivot = jtj[i][i] + damping[a] - _dot(row, row)
+        if not pivot > 0.0:
+            return None
+        row.append(math.sqrt(pivot))
+        low.append(row)
+    # forward substitution, then back substitution in place: y becomes s
+    y = []
+    for a, i in enumerate(free):
+        y.append((-grad[i] - _dot(low[a], y)) / low[a][a])
+    for a in reversed(range(len(free))):
+        y[a] = (y[a] - _dot([row[a] for row in low[a + 1:]], y[a + 1:])) / low[a][a]
+    return y if all(map(math.isfinite, y)) else None
+
+
 def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
     """Minimize the sum of squares of resid(x) over the box [lo, hi].
 
-    resid(x) returns the residual vector; a non-finite entry marks a point
-    the model cannot evaluate. An iteration builds a forward-difference
-    Jacobian (one resid call per coordinate, stepping backward at the
-    upper bound), holds coordinates that sit on a bound with the gradient
-    pointing out of the box, and tries damped Gauss-Newton steps clipped to
-    the box until one lowers the sum. The damping scales the running
-    maximum of the column norms (Moré 1978) and follows Nielsen's update;
-    the damped system is solved by least squares, so a singular JᵀJ gives
-    a minimum-norm step.
+    resid(x) returns the residuals as a sequence of rows, and the sum of
+    squares is _sum_squares's; a non-finite entry marks a point the model
+    cannot evaluate. x0, lo and hi are sequences of floats. An iteration
+    builds a forward-difference Jacobian (one resid call per coordinate,
+    stepping backward at the upper bound) and its JᵀJ, holds coordinates
+    that sit on a bound with the gradient pointing out of the box, and
+    tries damped Gauss-Newton steps clipped to the box until one lowers
+    the sum. Each trial solves the damped normal equations
+    (JᵀJ + λD²) s = -Jᵀr over the free coordinates by Cholesky (Marquardt
+    1963); a pivot that is not positive rejects the trial like a step that
+    does not lower the sum. D is the running maximum of the column norms
+    (Moré 1978), 1 for a column that has been zero throughout, and λ
+    follows Nielsen's update.
 
     Converged: the sum is at or below tol (tested at x0 first, so a start
     that meets it costs one resid call), or no step lowers it any more
@@ -230,63 +297,90 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
     not finite (returned with sum inf). iterations counts the Jacobians
     built.
 
-    Returns (x_best, r_best, f_best, iterations, converged), r_best being
-    resid(x_best).
+    Returns (x_best, rows_best, f_best, iterations, converged) with x_best
+    a list and rows_best resid(x_best).
     """
-    import numpy as np
-
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    r = resid(x)
-    f = float(r @ r)
+    x = [min(max(v, low), high) for v, low, high in zip(x0, lo, hi)]
+    rows = resid(x)
+    f = _sum_squares(rows)[0]
     if f <= tol:
-        return x, r, f, 0, True
+        return x, rows, f, 0, True
     if not math.isfinite(f):
-        return x, r, math.inf, 0, False
+        return x, rows, math.inf, 0, False
+    r = [v for row in rows for v in row]
     n = len(x)
-    scale = np.zeros(n)
+    zero = [0.0] * len(r)
+    scale = [0.0] * n
     lam, grow = 1e-3, 2.0
     for it in range(1, max_iter + 1):
-        jac = np.zeros((len(r), n))
+        # each column of J is a difference of residuals over its step h;
+        # the differences go into the dot products, and the steps after
+        deltas, steps = [], []
         for j in range(n):
             h = _FD_STEP * max(abs(x[j]), 1.0)
             if x[j] + h > hi[j]:
                 h = -h
                 if x[j] + h < lo[j]:
+                    deltas.append(zero)
+                    steps.append(1.0)
                     continue
             probe = x.copy()
             probe[j] += h
-            r_j = resid(probe)
-            if np.all(np.isfinite(r_j)):
-                jac[:, j] = (r_j - r) / h
-        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
-        grad = jac.T @ r
-        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
-        diag = np.where(scale > 0.0, scale, 1.0)[free]
-        rhs = np.concatenate([-r, np.zeros(len(diag))])
-        step = np.zeros(n)
+            deltas.append([a - b for row_j, row in zip(resid(probe), rows) for a, b in zip(row_j, row)])
+            steps.append(h)
+        # JᵀJ's lower triangle by rows and Jᵀr, from rows 0 to n-1 and row n
+        # of the dot products of the differences and r (padded to an even
+        # count). A column whose squares do not sum to a finite number (a
+        # probe the model cannot evaluate, or one that overflows) counts as
+        # zero.
+        tail = [r] if n % 2 else [r, zero]
         while True:
-            damped = np.vstack([jac[:, free], np.diag(math.sqrt(lam) * diag)])
-            step[free] = np.linalg.lstsq(damped, rhs, rcond=None)[0]
-            x_new = np.clip(x + step, lo, hi)
-            if lam > _MAX_DAMPING or np.array_equal(x_new, x):
-                return x, r, f, it, True
-            r_new = resid(x_new)
-            f_new = float(r_new @ r_new)
-            if f_new < f:
+            gram = _gram(deltas + tail)
+            jtj = [[v / steps[i] / steps[j] for j, v in enumerate(row)] for i, row in enumerate(gram[:n])]
+            bad = [j for j in range(n) if not math.isfinite(jtj[j][j])]
+            if not bad:
                 break
+            for j in bad:
+                deltas[j] = zero
+        grad = [v / h for v, h in zip(gram[n], steps)]
+        scale = [max(s, math.sqrt(jtj[j][j])) for j, s in enumerate(scale)]
+        free = [
+            j for j in range(n)
+            if not ((x[j] <= lo[j] and grad[j] > 0.0) or (x[j] >= hi[j] and grad[j] < 0.0))
+        ]
+        diag = [(scale[j] if scale[j] > 0.0 else 1.0) ** 2 for j in free]
+        while True:
+            step = _damped_step(jtj, grad, free, [lam * d for d in diag])
+            x_new = None
+            if step is not None:
+                x_new = x.copy()
+                for j, s in zip(free, step):
+                    x_new[j] = min(max(x[j] + s, lo[j]), hi[j])
+            if lam > _MAX_DAMPING or x_new == x:
+                return x, rows, f, it, True
+            if x_new is not None:
+                rows_new = resid(x_new)
+                f_new = _sum_squares(rows_new)[0]
+                if f_new < f:
+                    break
             lam *= grow
             grow *= 2.0
-        drop = f - f_new
-        model = r + jac @ (x_new - x)
-        predicted = f - float(model @ model)
-        gain = drop / predicted if predicted > 0.0 else 0.0
+        # the drop the linear model r + J·d predicts for d = x_new - x:
+        # |r|² - |r + J·d|² = -(2·Jᵀr·d + d·JᵀJ·d)
+        d = [b - a for a, b in zip(x, x_new)]
+        curvature = 0.0
+        for i in range(n):
+            curvature += d[i] * (jtj[i][i] * d[i] + 2.0 * _dot(jtj[i][:i], d))
+        predicted = -(2.0 * _dot(grad, d) + curvature)
+        gain = (f - f_new) / predicted if predicted > 0.0 else 0.0
         # the floor keeps a later rejection able to raise the damping
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _EPS)
         grow = 2.0
-        x, r, f = x_new, r_new, f_new
+        x, rows, f = x_new, rows_new, f_new
+        r = [v for row in rows for v in row]
         if f <= tol:
-            return x, r, f, it, True
-    return x, r, f, max_iter, False
+            return x, rows, f, it, True
+    return x, rows, f, max_iter, False
 
 
 def fit(
@@ -308,49 +402,48 @@ def fit(
     options.max_iter iterations, or at once when the integration diverges
     at its starting point. An iteration is one forward-difference Jacobian
     (13 integrations) plus its trial steps; `iterations` sums them over
-    all starts run, and `converged` is the winning start's.
+    all starts run, and `converged` is the winning start's. The reported
+    objective and components are _sum_squares of the winning start's last
+    residuals, so the objective is the very sum the optimizer compared.
     """
-    import numpy as np
-
     prep = _prepare(obs, dt)
     opts = options or FitOptions()
     box = _check_box(bounds if bounds is not None else DEFAULT_PARAM_BOUNDS, "bounds")
-    lo, hi = (np.array(side) for side in zip(*box.values()))
-    x_guess = np.array([getattr(initial_guess, name) for name in PARAM_FIELDS])
-    if np.any(x_guess < lo) or np.any(x_guess > hi):
+    lo, hi = (list(side) for side in zip(*box.values()))
+    x_guess = [getattr(initial_guess, name) for name in PARAM_FIELDS]
+    if any(v < low or v > high for v, low, high in zip(x_guess, lo, hi)):
         raise ArgumentError("initial_guess lies outside the bounds box")
 
     def resid(x):
         # a point in a diverging corner of the box gets infinite residuals,
         # so the optimizer backs away instead of aborting the whole fit
         try:
-            return np.ravel(_residuals(ModelParameters(*x.tolist()), obs, dt, prep))
+            return _residuals(ModelParameters(*x), obs, dt, prep)
         except (NumericalError, OverflowError):
-            return np.full(4 * len(obs), math.inf)
+            return [[math.inf] * len(obs)] * 4
 
     rng = random.Random(opts.seed)
-    best_x, best_r, best_f, total_iters, best_conv = _levenberg_marquardt(
+    best_x, best_rows, best_f, total_iters, best_conv = _levenberg_marquardt(
         resid, x_guess, lo, hi, opts.max_iter, opts.tol
     )
     restarts_used = 0
     for _ in range(opts.restarts):
         if best_f <= opts.tol:
             break
-        x0_r = np.array([rng.uniform(lo[i], hi[i]) for i in range(len(PARAM_FIELDS))])
+        x0_r = [rng.uniform(lo[i], hi[i]) for i in range(len(PARAM_FIELDS))]
         restarts_used += 1
-        x, r, f, iters, conv = _levenberg_marquardt(resid, x0_r, lo, hi, opts.max_iter, opts.tol)
+        x, rows, f, iters, conv = _levenberg_marquardt(resid, x0_r, lo, hi, opts.max_iter, opts.tol)
         total_iters += iters
         if f < best_f:
-            best_x, best_r, best_f, best_conv = x, r, f, conv
+            best_x, best_rows, best_f, best_conv = x, rows, f, conv
 
-    params = ModelParameters(*best_x.tolist())
+    params = ModelParameters(*best_x)
     # resid stands in infinite residuals for a diverged integration; only
     # then is it run again, so that its NumericalError reaches the caller
-    if np.all(np.isfinite(best_r)):
-        rows = best_r.reshape(4, -1).tolist()
-    else:
-        rows = _residuals(params, obs, dt, prep)
-    total, components = _sum_squares(rows)
+    # (finite residuals whose squares overflow come back the same)
+    if not math.isfinite(best_f):
+        best_rows = _residuals(params, obs, dt, prep)
+    total, components = _sum_squares(best_rows)
     return FitResult(
         params=params,
         objective_value=total,

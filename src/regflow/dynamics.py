@@ -29,9 +29,11 @@ share them, and a result never depends on what ran before it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
@@ -237,6 +239,16 @@ def _number(value, where: str, low=0.0, high=math.inf, *, positive=False) -> flo
     else:
         need = "finite" if low == -math.inf else f"finite and >= {low:g}"
     raise ArgumentError(f"{where} must be {need}, got {value!r}")
+
+
+def _total(values) -> float:
+    """The sum of values, added left to right with one rounding per
+    addition: what builtin sum() gives floats before Python 3.12, which
+    compensates the rounding and so can differ in the last digit."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _check_bound(name: str, pair, where: str) -> tuple[float, float]:
@@ -517,10 +529,20 @@ def advance(
 
 def _write_text(path, pieces) -> None:
     """Write an iterable of text pieces to path as UTF-8 with "\n" line
-    ends. ArgumentError naming the path when it cannot be written, for
-    example when it is a directory."""
+    ends. The text goes to the sibling <path>.partial first, which then
+    replaces path, so an error while the pieces are made or written leaves
+    path as it was; the partial file is removed on any error.
+    ArgumentError naming the path when it cannot be written, for example
+    when it is a directory."""
+    partial = f"{os.fspath(path)}.partial"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(pieces)
+            os.replace(partial, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(partial)
+            raise
     except OSError as exc:
         raise ArgumentError(f"cannot write {path}: {exc}") from None

@@ -53,6 +53,7 @@ from .dynamics import (
     _count,
     _number,
     _real,
+    _total,
     _write_text,
     advance,
     eval_feedback,
@@ -268,7 +269,7 @@ def _run_engine(
                 p, new_state, f, decision, brr_value, approved, cost, new_state.m
             )
 
-        mean_feedback = sum(feedbacks.values()) / len(ids)
+        mean_feedback = _total(feedbacks.values()) / len(ids)
         records.append(
             StepRecord(
                 step=t,

@@ -219,10 +219,35 @@ class TestWelchAnova:
             welch_anova([[1.0, 2.0]])
         with pytest.raises(ArgumentError):
             welch_anova([[1.0], [2.0, 3.0]])
+        # a group that is a number, or a list of lists
+        with pytest.raises(ArgumentError, match="group 0 needs at least 2 values"):
+            welch_anova([5.0, [2.0, 3.0]])
+        with pytest.raises(ArgumentError, match="group 1 needs at least 2 values"):
+            welch_anova([[2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]]])
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(ArgumentError, match="group 1 contains non-finite values"):
             welch_anova([[1.0, 2.0], [3.0, math.nan]])
+
+    @pytest.mark.parametrize("big", [[1e308, 1e308, -1e308], [1e200, -1e200], [1e300, 1.1e300]])
+    def test_statistics_past_the_float_range_are_a_numerical_error(self, big):
+        with pytest.raises(NumericalError, match="overflow the float range"):
+            welch_anova([big, [1.0, 2.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        groups=st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40).filter(lambda g: max(g) - min(g) > 1e-3),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    def test_agrees_with_scipy(self, groups):
+        stats = pytest.importorskip("scipy.stats")
+        res = welch_anova(groups)
+        oracle = stats.f_oneway(*groups, equal_var=False)
+        assert res.f_stat == pytest.approx(float(oracle.statistic), rel=1e-10)
+        assert res.p_value == pytest.approx(float(oracle.pvalue), rel=1e-10)
 
 
 class TestBonferroni:

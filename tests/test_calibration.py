@@ -11,6 +11,9 @@ from regflow.cli import main
 from regflow.calibration import (
     FitOptions,
     ObservedSeries,
+    _damped_step,
+    _dot,
+    _gram,
     _levenberg_marquardt,
     _prepare,
     _residuals,
@@ -135,29 +138,65 @@ class TestObjective:
 
 class TestLevenbergMarquardt:
     def test_quadratic_bowl(self):
-        resid = lambda x: x - 0.5
-        lo, hi = np.zeros(4), np.ones(4)
-        x, _, f, iters, conv = _levenberg_marquardt(resid, np.full(4, 0.9), lo, hi, 500, 1e-12)
+        resid = lambda x: [[v - 0.5 for v in x]]
+        lo, hi = [0.0] * 4, [1.0] * 4
+        x, _, f, iters, conv = _levenberg_marquardt(resid, [0.9] * 4, lo, hi, 500, 1e-12)
         assert conv
         assert f < 1e-10
-        assert np.allclose(x, 0.5, atol=1e-4)
+        assert x == pytest.approx([0.5] * 4, abs=1e-4)
 
     def test_minimum_on_box_face(self):
         # unconstrained minimum at -1 lies outside; projection pins x at 0
-        resid = lambda x: x + 1.0
-        lo, hi = np.zeros(3), np.full(3, 5.0)
-        x, _, f, _, _ = _levenberg_marquardt(resid, np.full(3, 2.0), lo, hi, 500, 1e-12)
-        assert np.all(x >= lo) and np.all(x <= hi)
-        assert np.allclose(x, 0.0, atol=1e-6)
+        resid = lambda x: [[v + 1.0 for v in x]]
+        lo, hi = [0.0] * 3, [5.0] * 3
+        x, _, f, _, _ = _levenberg_marquardt(resid, [2.0] * 3, lo, hi, 500, 1e-12)
+        assert all(low <= v <= high for v, low, high in zip(x, lo, hi))
+        assert x == pytest.approx([0.0] * 3, abs=1e-6)
 
     def test_rosenbrock(self):
         def resid(x):
-            return np.concatenate([10.0 * (x[1:] - x[:-1] ** 2), 1.0 - x[:-1]])
+            return [[10.0 * (b - a ** 2) for a, b in zip(x, x[1:])], [1.0 - a for a in x[:-1]]]
 
-        lo, hi = np.full(4, 0.0), np.full(4, 2.0)
-        x, _, f, iters, conv = _levenberg_marquardt(resid, np.full(4, 0.2), lo, hi, 4000, 1e-12)
+        lo, hi = [0.0] * 4, [2.0] * 4
+        x, _, f, iters, conv = _levenberg_marquardt(resid, [0.2] * 4, lo, hi, 4000, 1e-12)
         assert f < 1e-8
-        assert np.allclose(x, 1.0, atol=1e-3)
+        assert x == pytest.approx([1.0] * 4, abs=1e-3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_damped_step_is_the_least_squares_step(self, seed):
+        # the Cholesky solve of (JᵀJ + λD²) s = -Jᵀr over the free
+        # coordinates gives numpy's least-squares solution of the stacked
+        # system [J; √λ·D] s = [-r; 0]; zero columns get D = 1 and s = 0
+        rng = np.random.default_rng(seed)
+        m, n = 40, 7
+        jac = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, size=n)
+        jac[:, rng.choice(n, size=2, replace=False)] = 0.0
+        r = rng.normal(size=m)
+        free = sorted(rng.choice(n, size=5, replace=False).tolist())
+        lam = 10.0 ** rng.uniform(-6, 1)
+        norms = np.linalg.norm(jac, axis=0)
+        diag = np.where(norms > 0.0, norms, 1.0)[free]
+        cols = jac.T.tolist()
+        jtj = [[_dot(cols[i], cols[j]) for j in range(i + 1)] for i in range(n)]
+        grad = [_dot(col, r.tolist()) for col in cols]
+        step = _damped_step(jtj, grad, free, (lam * diag ** 2).tolist())
+        stacked = np.vstack([jac[:, free], np.diag(math.sqrt(lam) * diag)])
+        oracle = np.linalg.lstsq(stacked, np.concatenate([-r, np.zeros(len(free))]), rcond=None)[0]
+        assert step == pytest.approx(oracle.tolist(), rel=1e-9, abs=1e-12)
+        for j, s in zip(free, step):
+            if norms[j] == 0.0:
+                assert s == 0.0
+
+    def test_gram_gives_the_dot_products_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        vectors = (rng.normal(size=(6, 31)) * 10.0 ** rng.uniform(-8, 8, size=(6, 1))).tolist()
+        assert _gram(vectors) == [[_dot(vectors[i], vectors[j]) for j in range(i + 1)] for i in range(6)]
+
+    def test_damped_step_refuses_a_non_positive_pivot(self):
+        # an undamped zero column leaves a zero pivot
+        jtj = [[4.0], [0.0, 0.0]]
+        assert _damped_step(jtj, [1.0, 0.0], [0, 1], [0.0, 0.0]) is None
+        assert _damped_step(jtj, [1.0, 0.0], [0, 1], [0.0, 1e-300]) == [-0.25, 0.0]
 
 
 class TestFit:
@@ -208,7 +247,7 @@ class TestFit:
         assert len(starts) == 2
         (_, _, first_f, first_iters, first_conv), (x, _, f, iters, conv) = starts
         assert not first_conv and conv and f < first_f
-        assert res.params == ModelParameters(*x.tolist())
+        assert res.params == ModelParameters(*x)
         assert res.objective_value == f
         assert res.converged
         assert res.iterations == first_iters + iters

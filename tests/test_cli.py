@@ -962,6 +962,8 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys, output, argv)
     (out / output).mkdir(parents=True)
     assert main([values.get(a, a) for a in argv] + ["--out", str(out)]) == 2
     assert f"error: cannot write {out / output}: " in capsys.readouterr().err
+    # the text written before the failed rename is removed
+    assert [p.name for p in out.iterdir()] == [output]
 
 
 @pytest.mark.parametrize(
@@ -1054,8 +1056,36 @@ def test_heavy_modules_load_only_in_the_commands_that_use_them(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert [code for _, code, _ in report] == [0] * 7
-    assert [loaded for _, _, loaded in report[:4]] == [[]] * 4
-    # only the llm policy builds a thread pool
-    assert "concurrent.futures" not in report[-2][2]
-    assert report[-1][2] == list(HEAVY)
+    # no command loads numpy; only the llm policy loads the HTTP stack
+    assert [loaded for _, _, loaded in report[:6]] == [[]] * 6
+    assert report[-1][2] == [m for m in HEAVY if m != "numpy"]
     assert hits == 10
+
+
+# Runs main(sys.argv[1:]) where any import of numpy fails.
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from regflow.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_calibrate_and_metrics_run_without_numpy(tmp_path):
+    truth = DEFAULT_PARAMETERS.replace(alpha1=0.6, beta2=0.3, phi4=0.9)
+    obs = generate_synthetic(truth, SystemState(0.0, 0.4, 0.3, 0.2), 3.0, 0.05, 2, 0.0, 0)
+    write_series_csv(obs, tmp_path / "obs.csv")
+    out = tmp_path / "out"
+    assert main(["simulate", "--seed", "1", "--out", str(out)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    for argv in (
+        ["calibrate", "--obs", str(tmp_path / "obs.csv"), "--max-iter", "50", "--out", str(out)],
+        ["metrics", "--result", str(out / "result.json"), "--groups", "auto", "--out", str(out)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+    # the fit took Levenberg-Marquardt steps, and metrics ran Welch's ANOVA
+    assert json.loads((out / "fit.json").read_text())["iterations"] > 0
+    assert "welch_anova" in json.loads((out / "metrics.json").read_text())["groups"]

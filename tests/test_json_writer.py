@@ -311,6 +311,17 @@ class TestResultWriter:
         with pytest.raises(TypeError):
             write_result_json(one_result(approved=value), tmp_path / "result.json")
 
+    def test_a_failed_write_leaves_the_earlier_file(self, tmp_path):
+        # the text goes to a partial file that replaces result.json only once
+        # every piece is written; an error part way removes the partial file
+        path = tmp_path / "result.json"
+        write_result_json(one_result(), path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_result_json(one_result(approved=object()), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
     def test_writes_one_step_record_at_a_time(self, monkeypatch):
         profiles = list(DEFAULT_PROFILES)
         result = run(small_config(), profiles, default_initial(profiles), CORPUS)

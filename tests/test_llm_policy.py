@@ -259,13 +259,13 @@ class TestEndpointScheme:
         assert "do-not-read" not in d.rationale
 
 
-def test_importing_the_cli_imports_only_the_standard_library_and_numpy():
+def test_importing_the_cli_imports_only_the_standard_library():
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import regflow.cli\n"
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-        "sys.exit(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'regflow'}) or None)\n"
+        "sys.exit(sorted(new - set(sys.stdlib_module_names) - {'regflow'}) or None)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
