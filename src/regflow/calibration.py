@@ -190,12 +190,16 @@ def objective(
 
 def _sum_squares(rows) -> tuple[float, tuple[float, ...]]:
     """Each row's sum of squares and their total, every sum taken left to
-    right with one rounding per addition."""
+    right with one rounding per addition. A row with a finite value whose
+    square overflows, which float ** raises on, sums to inf."""
     components = []
     for row in rows:
         e = 0.0
-        for v in row:
-            e += v ** 2
+        try:
+            for v in row:
+                e += v ** 2
+        except OverflowError:
+            e = math.inf
         components.append(e)
     return _total(components), tuple(components)
 
@@ -372,7 +376,10 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
         for i in range(n):
             curvature += d[i] * (jtj[i][i] * d[i] + 2.0 * _dot(jtj[i][:i], d))
         predicted = -(2.0 * _dot(grad, d) + curvature)
-        gain = (f - f_new) / predicted if predicted > 0.0 else 0.0
+        # every gain from 1 up gives the factor 1/3; capping it keeps the
+        # cube finite when a step far shorter than x's scale predicts a drop
+        # far smaller than the one it made
+        gain = min((f - f_new) / predicted, 1.0) if predicted > 0.0 else 0.0
         # the floor keeps a later rejection able to raise the damping
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _EPS)
         grow = 2.0
@@ -440,7 +447,8 @@ def fit(
     params = ModelParameters(*best_x)
     # resid stands in infinite residuals for a diverged integration; only
     # then is it run again, so that its NumericalError reaches the caller
-    # (finite residuals whose squares overflow come back the same)
+    # (finite residuals whose squares overflow come back the same, with an
+    # infinite objective)
     if not math.isfinite(best_f):
         best_rows = _residuals(params, obs, dt, prep)
     total, components = _sum_squares(best_rows)

@@ -529,17 +529,20 @@ def advance(
 
 def _write_text(path, pieces) -> None:
     """Write an iterable of text pieces to path as UTF-8 with "\n" line
-    ends. The text goes to the sibling <path>.partial first, which then
-    replaces path, so an error while the pieces are made or written leaves
-    path as it was; the partial file is removed on any error.
-    ArgumentError naming the path when it cannot be written, for example
-    when it is a directory."""
-    partial = f"{os.fspath(path)}.partial"
+    ends. The text goes to a sibling <file>.partial of the file path names,
+    through any symlinks, and then replaces that file with its permission
+    bits, so an error while the pieces are made or written leaves it as it
+    was; the partial file is removed on any error. ArgumentError naming the
+    path when it cannot be written, for example when it is a directory."""
+    target = os.path.realpath(path)
+    partial = f"{target}.partial"
     try:
         try:
             with open(partial, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(pieces)
-            os.replace(partial, path)
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(partial, os.stat(target).st_mode & 0o7777)
+            os.replace(partial, target)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(partial)

@@ -192,6 +192,16 @@ class TestLevenbergMarquardt:
         vectors = (rng.normal(size=(6, 31)) * 10.0 ** rng.uniform(-8, 8, size=(6, 1))).tolist()
         assert _gram(vectors) == [[_dot(vectors[i], vectors[j]) for j in range(i + 1)] for i in range(6)]
 
+    def test_a_step_far_shorter_than_its_drop_predicts_is_taken(self):
+        # from x = 2e-300 the step is clipped to 0 and the residual jumps
+        # down: the drop is 0.75 but the linear model predicts about 4e-300,
+        # a gain whose cube no float holds
+        def resid(x):
+            return [[1.0 + x[0]]] if x[0] > 1e-300 else [[0.5]]
+
+        x, rows, f, iters, conv = _levenberg_marquardt(resid, [2e-300], [0.0], [1.0], 5, 0.0)
+        assert (x, rows, f, conv) == ([0.0], [[0.5]], 0.25, True)
+
     def test_damped_step_refuses_a_non_positive_pivot(self):
         # an undamped zero column leaves a zero pivot
         jtj = [[4.0], [0.0, 0.0]]
@@ -307,6 +317,22 @@ class TestFit:
         assert math.isfinite(res.objective_value)
         base, _ = objective(guess, obs, 0.05)
         assert res.objective_value <= base
+
+    def test_restart_points_whose_squares_overflow_lose(self):
+        # past alpha1 ~ 1e154 the integration stays finite but the squares
+        # of its residuals do not: such restart points score +inf, so the
+        # guess's start wins
+        obs = make_noiseless_obs(horizon=2.0)
+        prep = _prepare(obs, 0.05)
+        rows = _residuals(TRUE_PARAMS.replace(alpha1=1e199), obs, 0.05, prep)
+        assert all(map(math.isfinite, (v for row in rows for v in row)))
+        assert objective(TRUE_PARAMS.replace(alpha1=1e199), obs, 0.05)[0] == math.inf
+        bounds = dict(DEFAULT_PARAM_BOUNDS, alpha1=(0.0, 1e200))
+        guess = TRUE_PARAMS.replace(alpha1=0.9)
+        res = fit(obs, guess, bounds=bounds, options=FitOptions(max_iter=3, tol=0.0, restarts=2, seed=0))
+        alone = fit(obs, guess, bounds=bounds, options=FitOptions(max_iter=3, tol=0.0))
+        assert res.restarts_used == 2
+        assert res.to_json_dict() == dict(alone.to_json_dict(), restarts_used=2)
 
     def test_jacobian_probe_past_the_divergence_edge_survives(self):
         # just below the alpha3 at which the integration overflows, the

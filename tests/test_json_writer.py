@@ -322,6 +322,19 @@ class TestResultWriter:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
 
+    def test_a_rewrite_keeps_the_file_mode_and_writes_through_a_symlink(self, tmp_path):
+        target = tmp_path / "kept.json"
+        write_result_json(one_result(), target)
+        target.chmod(0o600)
+        link = tmp_path / "result.json"
+        link.symlink_to(target)
+        write_result_json(one_result(approved=False), link)
+        write_result_json(one_result(approved=False), tmp_path / "fresh.json")
+        assert link.is_symlink()
+        assert target.stat().st_mode & 0o7777 == 0o600
+        assert target.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "kept.json", "result.json"]
+
     def test_writes_one_step_record_at_a_time(self, monkeypatch):
         profiles = list(DEFAULT_PROFILES)
         result = run(small_config(), profiles, default_initial(profiles), CORPUS)
