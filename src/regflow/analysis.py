@@ -80,12 +80,16 @@ def adherence_accuracy(
 
 
 def compliance_stability(c_series: Sequence[float]) -> float:
-    """Population variance of the compliance series (divide by T)."""
+    """Population variance of the compliance series (divide by T), each
+    deviation squared as a product; NumericalError when it is not finite."""
     n = len(c_series)
     if n == 0:
         raise ArgumentError("stability needs at least one sample")
     mean = _total(c_series) / n
-    return _total((c - mean) ** 2 for c in c_series) / n
+    var = _total(d * d for d in (c - mean for c in c_series)) / n
+    if not math.isfinite(var):
+        raise NumericalError(f"compliance stability leaves the float range: mean {mean!r}, variance {var!r}")
+    return var
 
 
 @dataclass(frozen=True)

@@ -189,17 +189,13 @@ def objective(
 
 
 def _sum_squares(rows) -> tuple[float, tuple[float, ...]]:
-    """Each row's sum of squares and their total, every sum taken left to
-    right with one rounding per addition. A row with a finite value whose
-    square overflows, which float ** raises on, sums to inf."""
+    """Each row's sum of the products v * v and their total, every sum taken
+    left to right with one rounding per addition; an overflow gives inf."""
     components = []
     for row in rows:
         e = 0.0
-        try:
-            for v in row:
-                e += v ** 2
-        except OverflowError:
-            e = math.inf
+        for v in row:
+            e += v * v
         components.append(e)
     return _total(components), tuple(components)
 

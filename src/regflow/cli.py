@@ -327,7 +327,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     agent_ids = sorted(columns.final_m)
     report: dict = {"epsilon": args.epsilon, "per_agent": {}}
     for aid in agent_ids:
-        rep = metrics_report(columns.c[aid], columns.g[aid], args.epsilon)
+        try:
+            rep = metrics_report(columns.c[aid], columns.g[aid], args.epsilon)
+        except NumericalError as exc:
+            raise NumericalError(f"agent {aid}: {exc}") from None
         report["per_agent"][aid] = rep
         print(
             f"{aid}: adherence={rep.adherence_accuracy:.4f} "

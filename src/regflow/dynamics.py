@@ -286,12 +286,11 @@ def _bounds_from_json(data, where: str) -> dict[str, tuple[float, float]]:
 
 
 def _exp(x: float) -> float:
-    # math.exp raises OverflowError instead of returning inf; a runaway
-    # stage value should surface as a NumericalError downstream, not as
-    # an uncaught OverflowError here.
-    if x > 709.0:
+    """math.exp(x), or inf where math.exp raises OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
         return math.inf
-    return math.exp(x)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +319,9 @@ _TERMS_STEPS = 4096
 
 def _time_rows(nf1: float, t0: float, h: float, n: int):
     """(w(t), w(t + h/2), w(t + h)) for each step k of an n-step run from t0
-    in steps of h, where t = t0 + k*h and w(t) = 1 - exp(nf1 * t), the
+    in steps of h, where t = t0 + k*h and w(t) = 1 - _exp(nf1 * t), the
     factor of alpha1 in dg/dt. From t0 >= 0 every exponent is <= 0, where
-    math.exp equals the guarded _exp."""
+    math.exp cannot overflow, so it stands in for _exp."""
     exp = math.exp if t0 >= 0.0 else _exp
     half = 0.5 * h
     for k in range(n):
@@ -354,20 +353,19 @@ def _rk4_run(
     """n clamped classical-RK4 steps of size h from (t0, g, c, m).
 
     Step k starts at t0 + k*h. After each step negative components are
-    clamped to zero and counted, and a non-finite state raises
-    NumericalError with step_index k. Each step's (g, c, m) is appended to
-    samples when given. Returns (g, c, m, cost, clamps); cost is the
-    left-endpoint quadrature of beta2 * c / (1 + gamma1 * m).
+    clamped to zero and counted. A non-finite state or a zero stage
+    denominator raises NumericalError with step_index k. Each step's
+    (g, c, m) is appended to samples when given. Returns (g, c, m, cost,
+    clamps); cost is the left-endpoint quadrature of
+    beta2 * c / (1 + gamma1 * m).
 
     Each stage evaluates f, dg, dc and dm as the module docstring writes
     them, in that order and with its grouping, so a stage is bit for bit
     the right-hand side at the stage point. The factor 1 - exp(-phi1 * t)
     of dg comes from _time_rows: through _time_table for a run of at most
     _TERMS_STEPS steps, step by step for a longer one. Every step runs on
-    math.exp and is redone with the guarded _exp if math.exp overflows or
-    a stage g or c is negative: only then can an exponent exceed 709,
-    where _exp gives inf but math.exp still gives a finite value up to
-    about 709.78.
+    math.exp and is redone with _exp only if math.exp raises OverflowError,
+    so a step's value is that step evaluated with _exp.
     """
     a1, a2, a3, a4 = p.alpha1, p.alpha2, p.alpha3, p.alpha4
     nf1, nf2, nf3, nf4 = -p.phi1, -p.phi2, -p.phi3, -p.phi4
@@ -413,16 +411,14 @@ def _rk4_run(
                 k4g = a1 * w4 - b1 * f
                 k4c = a2 * sg4 * (1.0 - exp(nf2 * sc4)) - b2 * (sc4 / (1.0 + g1 * sm4))
                 k4m = a3 * sc4 * (1.0 - exp(nf3 * sg4)) - b3 * sm4
+                break
             except OverflowError:
-                # _exp never overflows; an int coefficient past the float
-                # range does, and would loop here
+                # under _exp only int arithmetic past the float range overflows
                 if exp is _exp:
                     raise
                 exp = _exp
-                continue
-            if exp is _exp or not (sg2 < 0.0 or sc2 < 0.0 or sg3 < 0.0 or sc3 < 0.0 or sg4 < 0.0 or sc4 < 0.0):
-                break
-            exp = _exp
+            except ZeroDivisionError:
+                raise NumericalError(f"zero denominator in RK4 step {k}", step_index=k) from None
         cost += d * h
         ng = g + sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
         nc = c + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)

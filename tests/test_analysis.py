@@ -75,6 +75,17 @@ class TestComplianceStability:
         with pytest.raises(ArgumentError):
             compliance_stability([])
 
+    def test_squares_are_products(self):
+        # mean x, both deviations +-x: the variance is x * x, correctly
+        # rounded, where a libm pow can give x ** 2 one float below
+        x = 1.8997457034743226e-64
+        assert compliance_stability([0.0, 2.0 * x]) == x * x == 3.609033737869149e-128
+
+    @pytest.mark.parametrize("c", [[0.0, 1e200], [1e308, 1e308]], ids=["variance", "mean"])
+    def test_past_the_float_range_is_a_numerical_error(self, c):
+        with pytest.raises(NumericalError, match="compliance stability leaves the float range"):
+            compliance_stability(c)
+
     def test_report_bundle(self):
         rep = metrics_report([1.0, 1.2], [1.0, 1.3], epsilon=0.5)
         assert rep.adherence_accuracy == 1.0

@@ -17,6 +17,7 @@ from regflow.calibration import (
     _levenberg_marquardt,
     _prepare,
     _residuals,
+    _sum_squares,
     fit,
     generate_synthetic,
     objective,
@@ -105,11 +106,21 @@ class TestObjective:
             for j, t in enumerate(obs.times):
                 g, c, m = raw[int(round(t / 0.05))]
                 f = p.alpha4 * (m * (1.0 - _exp(-p.phi4 * c)) / (1.0 + p.gamma2 * c))
-                e_g += (obs.g_obs[j] - g) ** 2
-                e_c += (obs.c_obs[j] - c) ** 2
-                e_m += (obs.m_obs[j] - m) ** 2
-                e_f += (obs.f_obs[j] - f) ** 2
+                dg, dc, dm, df = obs.g_obs[j] - g, obs.c_obs[j] - c, obs.m_obs[j] - m, obs.f_obs[j] - f
+                e_g += dg * dg
+                e_c += dc * dc
+                e_m += dm * dm
+                e_f += df * df
             assert objective(p, obs, 0.05) == (e_g + e_c + e_m + e_f, (e_g, e_c, e_m, e_f))
+
+    def test_squares_are_products(self):
+        # IEEE 754 rounds x * x correctly; x ** 2 need not, and this x is a
+        # value where a libm pow can give the float one below
+        x = 1.8997457034743226e-64
+        assert _sum_squares([[x]]) == (x * x, (x * x,))
+        assert _sum_squares([[x]])[0] == 3.609033737869149e-128
+        # a finite value whose square overflows sums to inf
+        assert _sum_squares([[1.0], [1e200, 1.0]]) == (math.inf, (1.0, math.inf))
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ArgumentError):

@@ -729,6 +729,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical error" in err and "step" in err
 
+    def test_zero_stage_denominator_exits_3(self, tmp_path, capsys):
+        # beta2 = 4 takes stage 2's c from 1 to -1, where 1 + gamma2 * c is 0
+        params = tmp_path / "params.json"
+        params.write_text(params_json(ModelParameters(alpha4=1.0, phi4=1.0, gamma2=1.0)))
+        code = main([
+            "sweep", "--parameter", "beta2", "--values", "4", "--params", str(params),
+            "--initial", "0.5,1,0.5", "--horizon", "1", "--dt", "1", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert "numerical error (step 0): zero denominator in RK4 step 0" in capsys.readouterr().err
+
+    def test_metrics_past_the_float_range_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--steps", "3", "--format", "json"]) == 0
+        data = json.loads((out / "result.json").read_text())
+        data["records"][1]["agents"]["C"]["state"]["c"] = 1e200
+        (out / "result.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["metrics", "--result", str(out / "result.json"), "--out", str(out)]) == 3
+        assert "numerical error: agent C: compliance stability leaves the float range" in capsys.readouterr().err
+
 
 def series_file(tmp_path) -> str:
     obs = generate_synthetic(DEFAULT_PARAMETERS, SystemState(0.0, 0.4, 0.3, 0.2), 1.0, 0.05, 2, 0.0, 0)

@@ -244,7 +244,10 @@ class TestIntegrate:
 # ---------------------------------------------------------------------------
 
 def ref_exp(x):
-    return math.inf if x > 709.0 else math.exp(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def ref_deriv(p):
@@ -274,12 +277,15 @@ def ref_rk4_once(deriv, t, g, c, m, dt):
 
 def ref_run(p, t0, g, c, m, h, n):
     """(states after each step, cost, clamps); NumericalError(step_index=k)
-    when step k ends non-finite."""
+    when step k ends non-finite or divides by zero."""
     deriv = ref_deriv(p)
     states, cost, clamps = [], 0.0, 0
     for k in range(n):
         cost += p.beta2 * (c / (1.0 + p.gamma1 * m)) * h
-        g, c, m = ref_rk4_once(deriv, t0 + k * h, g, c, m, h)
+        try:
+            g, c, m = ref_rk4_once(deriv, t0 + k * h, g, c, m, h)
+        except ZeroDivisionError:
+            raise NumericalError("reference step divides by zero", step_index=k) from None
         if g < 0.0:
             g, clamps = 0.0, clamps + 1
         if c < 0.0:
@@ -386,6 +392,13 @@ class TestEvalDerivatives:
             advance(SystemState(math.inf, 1.0, 1.0, 1.0), DEFAULT_PARAMETERS, 0.1, 1)
 
 
+def exponent_case(e):
+    """(state, p, dt) of one step from g = 1 whose stage 2 puts g at 1 - e,
+    so that stage's exp(-phi3 * g) is exp(e - 1)."""
+    p = ModelParameters(alpha3=1e-300, alpha4=1.0, phi3=1.0, phi4=1.0, beta1=1.0)
+    return SystemState(0.0, 1.0, 1.0, 1.0), p, 2.0 * e / (1.0 - math.exp(-1.0))
+
+
 def coefficient(name):
     lo, hi = DEFAULT_PARAM_BOUNDS[name]
     return st.one_of(st.just(lo), st.floats(lo, hi))
@@ -453,16 +466,29 @@ class TestKernelMatchesReference:
         assert outcome(kernel_step, state, p, 0.5) == outcome(ref_step, state, p, 0.5)
 
     def test_exponent_between_709_and_overflow(self):
-        # stage 2 puts g at about -709.4, so exp(-phi3 * g) is finite for
-        # math.exp but inf for the guarded exp, and only inf makes the step
-        # non-finite; a kernel that fell back only on OverflowError would
-        # return a finite state here
-        p = ModelParameters(alpha3=1e-300, alpha4=1.0, phi3=1.0, phi4=1.0, beta1=1.0)
-        state = SystemState(0.0, 1.0, 1.0, 1.0)
-        dt = 2.0 * 710.4 / (1.0 - math.exp(-1.0))
-        expected = outcome(ref_advance, state, p, dt, 1)
-        assert expected == ("NumericalError", 0)
-        assert outcome(kernel_advance, state, p, dt, 1) == expected
+        # exp(e - 1) is finite up to about 709.78 and overflows past it,
+        # where only the redo's inf makes the step non-finite: a kernel that
+        # cut at 709 fails the first e, one that never redid the step the
+        # second
+        for e in (710.4, 710.8):
+            state, p, dt = exponent_case(e)
+            expected = outcome(ref_advance, state, p, dt, 1)
+            assert (expected[0] == "NumericalError") == (e > 710.79)
+            assert outcome(kernel_advance, state, p, dt, 1) == expected
+
+    @pytest.mark.parametrize(
+        "state, p",
+        [
+            # stage 2 puts c at -1/gamma2, the denominator of f
+            (SystemState(0.0, 0.5, 1.0, 0.5), ModelParameters(alpha4=1.0, phi4=1.0, beta2=4.0, gamma2=1.0)),
+            # stage 2 puts m at -1/gamma1, the denominator of dc/dt's damping
+            (SystemState(0.0, 0.5, 0.5, 1.0), ModelParameters(beta3=4.0, gamma1=1.0)),
+        ],
+        ids=["gamma2", "gamma1"],
+    )
+    def test_zero_stage_denominator_is_a_numerical_error(self, state, p):
+        assert outcome(ref_advance, state, p, 1.0, 1) == ("NumericalError", 0)
+        assert outcome(kernel_advance, state, p, 1.0, 1) == ("NumericalError", 0)
 
     def test_negative_start_time_uses_guarded_exp(self):
         # calibration integrates from the first observed time, which may be
@@ -562,12 +588,14 @@ class TestTimeTermMemo:
             got = kernel_advance(state, p, 2.0, 20)
             assert got == ref_advance(state, p, 2.0, 20)
         assert got[1] > 0
-        # here only the redo's inf makes the step non-finite
-        p = ModelParameters(alpha1=0.2, alpha3=1e-300, alpha4=1.0, phi3=1.0, phi4=1.0, beta1=1.0)
-        state = SystemState(0.0, 1.0, 1.0, 1.0)
-        dt = 2.0 * 710.4 / (1.0 - math.exp(-1.0))
-        for _ in range(3):
-            assert outcome(kernel_advance, state, p, dt, 1) == ("NumericalError", 0)
+        # a stage exponent below the overflow keeps the step finite, one
+        # past it redoes the step, which then ends non-finite
+        for e in (710.4, 710.8):
+            state, p, dt = exponent_case(e)
+            expected = outcome(ref_advance, state, p, dt, 1)
+            assert (expected[0] == "NumericalError") == (e > 710.79)
+            for _ in range(3):
+                assert outcome(kernel_advance, state, p, dt, 1) == expected
 
     def test_a_long_run_builds_no_table(self):
         # run twice, as a memo that kept it would hold the table from the

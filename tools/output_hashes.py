@@ -23,7 +23,9 @@ before hashing.
 
 The second form exits 1 when an output's hash differs between two such
 files, or is missing from one, unless the output is listed, one name a
-line, in tools/expected_changes.txt.
+line, in tools/expected_changes.txt; and when a listed output did not
+change, so that the list names exactly the outputs a change meant to
+change.
 """
 
 from __future__ import annotations
@@ -187,20 +189,25 @@ def output_hashes(root: str) -> dict[str, str]:
     return hashes
 
 
-def diff(base_path: str, head_path: str) -> int:
-    """1 when an output not listed in EXPECTED changed, else 0."""
+def diff(base_path: str, head_path: str, expected_path: str = EXPECTED) -> int:
+    """1 when an output not listed in expected_path changed or a listed one
+    did not, else 0."""
     with open(base_path, encoding="utf-8") as fh:
         base = json.load(fh)
     with open(head_path, encoding="utf-8") as fh:
         head = json.load(fh)
-    with open(EXPECTED, encoding="utf-8") as fh:
+    with open(expected_path, encoding="utf-8") as fh:
         expected = {line.strip() for line in fh if line.strip()}
     changed = sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
     for name in changed:
         print(f"{name}: {base.get(name)} -> {head.get(name)}{' (expected)' if name in expected else ''}")
     unexpected = [name for name in changed if name not in expected]
+    stale = sorted(expected.difference(changed))
     if unexpected:
         print(f"{len(unexpected)} output(s) changed; list each intended change in tools/expected_changes.txt")
+    if stale:
+        print(f"listed but unchanged, remove from tools/expected_changes.txt: {', '.join(stale)}")
+    if unexpected or stale:
         return 1
     print(f"{len(base.keys() | head.keys())} outputs compared; {len(changed)} changed, each one listed")
     return 0
