@@ -169,31 +169,38 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     _number(a, "a", positive=True)
     _number(b, "b", positive=True)
     _number(x, "x", high=1.0)
-    if x == 0.0 or x == 1.0:
-        return x
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    return _incomplete_beta(a, b, x, 1.0 - x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) given both x and y = 1 - x, so a caller that has y to full
+    precision loses nothing to the cancellation in 1 - x when x is near 1."""
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    # log the smaller of x and y, log1p the larger from it
+    if x <= y:
+        ln_x, ln_y = math.log(x), math.log1p(-x)
+    else:
+        ln_x, ln_y = math.log1p(-y), math.log(y)
+    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * ln_x + b * ln_y
     front = math.exp(ln_front)
     # the continued fraction converges fast only on one side of the mean;
-    # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the other
+    # use the symmetry I_x(a,b) = 1 - I_y(b,a) on the other
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, y) / b
 
 
 def f_sf(x: float, df1: float, df2: float) -> float:
     """Upper tail 1 - CDF of the F(df1, df2) distribution, computed directly
-    for accuracy at large x."""
+    for accuracy at large x, and with both beta arguments formed as
+    quotients for accuracy at small x."""
     _number(df1, "df1", positive=True)
     _number(df2, "df2", positive=True)
     if x <= 0.0:
         return 1.0
-    return regularized_incomplete_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + df1 * x))
+    scaled = df1 * x
+    return _incomplete_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + scaled), scaled / (df2 + scaled))
 
 
 # ---------------------------------------------------------------------------

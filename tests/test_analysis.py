@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regflow.analysis import (
@@ -112,6 +112,13 @@ class TestIncompleteBeta:
     def test_extreme_tail(self):
         # far tail needs the direct sf form, not 1 - cdf
         assert f_sf(84.96, 2.0, 96.01) == pytest.approx(5.7563379035283975e-22, rel=1e-6)
+
+    def test_near_zero_statistic(self):
+        # the beta argument df2 / (df2 + df1 x) rounds to within 1e-13 of 1;
+        # its complement must be formed as a quotient, not as 1 - that
+        # (reference from 50-digit mpmath)
+        cdf = 1.0 - f_sf(2.4052760790448807e-13, 1.0, 3.9999999999995186)
+        assert cdf == pytest.approx(3.6782710537188392e-07, rel=1e-8)
 
     def test_edges(self):
         assert f_sf(0.0, 3.0, 5.0) == 1.0
@@ -253,6 +260,7 @@ class TestWelchAnova:
             max_size=5,
         )
     )
+    @example(groups=[[0.0, 0.0, 88.0], [0.0, 88.0, 6.103515625e-05]])
     def test_agrees_with_scipy(self, groups):
         stats = pytest.importorskip("scipy.stats")
         res = welch_anova(groups)
