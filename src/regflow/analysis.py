@@ -32,6 +32,7 @@ from .dynamics import (
     _feedback,
     _integration_steps,
     _number,
+    _real,
     _rk4_run,
     _total,
     _write_text,
@@ -222,9 +223,9 @@ def _check_groups(groups: Sequence[Sequence[float]]) -> list[list[float]]:
     checked = []
     for i, g in enumerate(groups):
         try:
-            values = [float(v) for v in g]
+            values = [v if type(v) is float else _real(v, f"group {i} value {j}") for j, v in enumerate(g)]
         except TypeError:
-            # a scalar, or a group of sequences
+            # a scalar
             values = []
         if len(values) < 2:
             raise ArgumentError(f"group {i} needs at least 2 values")
@@ -241,17 +242,19 @@ def _mean(values: list[float]) -> float:
 def _eta_squared(groups: list[list[float]], means: list[float]) -> float:
     values = [v for g in groups for v in g]
     grand = _mean(values)
-    ss_total = math.fsum((v - grand) ** 2 for v in values)
+    ss_total = math.fsum(d * d for d in (v - grand for v in values))
+    if not math.isfinite(ss_total):
+        raise OverflowError
     if ss_total == 0.0:
         return 0.0
-    ss_between = math.fsum(len(g) * (mean - grand) ** 2 for g, mean in zip(groups, means))
+    ss_between = math.fsum(len(g) * (d * d) for g, d in zip(groups, [mean - grand for mean in means]))
     return ss_between / ss_total
 
 
 def welch_anova(groups: Sequence[Sequence[float]]) -> WelchAnovaResult:
     """Welch's heteroscedastic one-way ANOVA over two or more groups. Every
-    sum is math.fsum's, exactly rounded; NumericalError when a statistic
-    leaves the float range."""
+    sum is math.fsum's, exactly rounded, and every square a product;
+    NumericalError when a statistic leaves the float range."""
     checked = _check_groups(groups)
     try:
         return _welch(checked)
@@ -264,8 +267,11 @@ def _welch(checked: list[list[float]]) -> WelchAnovaResult:
     n = [len(g) for g in checked]
     means = [_mean(g) for g in checked]
     variances = [
-        math.fsum((v - mean) ** 2 for v in g) / (len(g) - 1) for g, mean in zip(checked, means)
+        math.fsum(d * d for d in (v - mean for v in g)) / (len(g) - 1) for g, mean in zip(checked, means)
     ]
+    # a square past the float range is inf, which would make a weight 0.0
+    if not all(map(math.isfinite, variances)):
+        raise OverflowError
 
     if all(v == 0.0 for v in variances):
         if all(mean == means[0] for mean in means):
@@ -285,8 +291,9 @@ def _welch(checked: list[list[float]]) -> WelchAnovaResult:
     w = [size / var for size, var in zip(n, variances)]
     w_sum = math.fsum(w)
     grand = math.fsum(wi * mean for wi, mean in zip(w, means)) / w_sum
-    numerator = math.fsum(wi * (mean - grand) ** 2 for wi, mean in zip(w, means)) / (k - 1)
-    tmp = math.fsum((1.0 - wi / w_sum) ** 2 / (size - 1.0) for wi, size in zip(w, n)) / (k * k - 1.0)
+    numerator = math.fsum(wi * (d * d) for wi, d in zip(w, [mean - grand for mean in means])) / (k - 1)
+    complements = [1.0 - wi / w_sum for wi in w]
+    tmp = math.fsum(e * e / (size - 1.0) for e, size in zip(complements, n)) / (k * k - 1.0)
     f_stat = numerator / (1.0 + 2.0 * (k - 2.0) * tmp)
     df2 = 1.0 / (3.0 * tmp)
     # an inf or nan here comes from a term past the float range, the
@@ -377,9 +384,8 @@ def sweep(
         raise ArgumentError(f"unknown parameter {parameter!r}")
     if len(values) == 0:
         raise ArgumentError("values must be non-empty")
-    for v in values:
-        _number(v, "sweep value")
-    steps = _integration_steps(horizon, dt)
+    values = [_number(v, "sweep value") for v in values]
+    dt, steps = _integration_steps(horizon, dt)
 
     baseline = _terminal_outputs(base, initial, steps, dt)
     outputs: dict[str, list[float]] = {name: [] for name in OUTPUT_NAMES}
@@ -394,7 +400,7 @@ def sweep(
                 change_rates[name].append((out - ref) / abs(ref))
     return SweepResult(
         parameter=parameter,
-        values=[float(v) for v in values],
+        values=values,
         outputs=outputs,
         change_rates=change_rates,
     )

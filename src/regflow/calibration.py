@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -68,14 +67,8 @@ class ObservedSeries:
 def _check_series(obs: ObservedSeries) -> None:
     """ArgumentError unless obs has at least 2 rows, columns of one length,
     finite values (g, c, m and f >= 0) and strictly increasing times. A
-    series that passed keeps its columns as tuples in _passed and passes
-    again at once while it holds the very objects that passed: calibrate
-    reads a series with read_series_csv and fits it with fit, and both check
-    it."""
-    values = (obs.times, obs.g_obs, obs.c_obs, obs.m_obs, obs.f_obs)
-    passed = getattr(obs, "_passed", ())
-    if passed and all(len(a) == len(b) and all(map(operator.is_, a, b)) for a, b in zip(values, passed)):
-        return
+    column of floats passes in three passes in C; any other column is
+    checked value by value, so the error names the value that fails."""
     n = len(obs.times)
     if n < 2:
         raise ArgumentError("observed series needs at least 2 rows")
@@ -84,16 +77,15 @@ def _check_series(obs: ObservedSeries) -> None:
             raise ArgumentError(f"{name} length {len(getattr(obs, name))} != times length {n}")
     columns = (("times", -math.inf), ("g_obs", 0.0), ("c_obs", 0.0), ("m_obs", 0.0), ("f_obs", 0.0))
     for name, low in columns:
-        for i, v in enumerate(getattr(obs, name)):
-            try:
-                _number(v, name, low)
-            except ArgumentError:
-                # the row's label is built only for the value that fails
-                _number(v, f"{name}[{i}]", low)
+        col = getattr(obs, name)
+        # nan passes min() when it is not first, but no sum with it is finite
+        if set(map(type, col)) == {float} and min(col) >= low and math.isfinite(sum(col)):
+            continue
+        for i, v in enumerate(col):
+            _number(v, f"{name}[{i}]", low)
     for i in range(1, n):
         if obs.times[i] <= obs.times[i - 1]:
             raise ArgumentError(f"times must be strictly increasing at index {i}")
-    obs._passed = tuple(map(tuple, values))
 
 
 @dataclass(frozen=True)
@@ -139,11 +131,12 @@ class FitResult:
 # residuals and objective
 # ---------------------------------------------------------------------------
 
-def _prepare(obs: ObservedSeries, dt: float) -> tuple[int, list[int]]:
+def _prepare(obs: ObservedSeries, dt: float) -> tuple[float, int, list[int]]:
     """Check the series and dt; return what every residual evaluation
-    shares: the step count and the sample index of each observed row."""
+    shares: dt as a float, the step count and the sample index of each
+    observed row."""
     _check_series(obs)
-    _number(dt, "dt", positive=True)
+    dt = _number(dt, "dt", positive=True)
     t0 = obs.times[0]
     steps = _step_count(obs.times[-1] - t0, dt)
     idxs = []
@@ -154,17 +147,17 @@ def _prepare(obs: ObservedSeries, dt: float) -> tuple[int, list[int]]:
                 f"observed time {tj} (row {j}) falls outside the integration horizon"
             )
         idxs.append(idx)
-    return steps, idxs
+    return dt, steps, idxs
 
 
-def _residuals(p: ModelParameters, obs: ObservedSeries, dt: float, prep) -> tuple[list[float], ...]:
+def _residuals(p: ModelParameters, obs: ObservedSeries, prep) -> tuple[list[float], ...]:
     """Observed minus predicted g, c, m and f at each observed time.
 
     Integrates from the first observed row; each observed time is snapped
     to the nearest integration sample (error at most dt/2). Returns four
     lists, g, c, m and f, each in row order; prep comes from _prepare.
     """
-    steps, idxs = prep
+    dt, steps, idxs = prep
     raw, _ = _integrate_raw(obs.times[0], obs.g_obs[0], obs.c_obs[0], obs.m_obs[0], p, steps, dt)
     pred = [raw[idx] for idx in idxs]
     return (
@@ -185,7 +178,7 @@ def objective(
     Returns the total and the per-variable components (e_g, e_c, e_m, e_f)
     of the residuals from _residuals, each summed in row order.
     """
-    return _sum_squares(_residuals(p, obs, dt, _prepare(obs, dt)))
+    return _sum_squares(_residuals(p, obs, _prepare(obs, dt)))
 
 
 def _sum_squares(rows) -> tuple[float, tuple[float, ...]]:
@@ -421,8 +414,8 @@ def fit(
         # a point in a diverging corner of the box gets infinite residuals,
         # so the optimizer backs away instead of aborting the whole fit
         try:
-            return _residuals(ModelParameters(*x), obs, dt, prep)
-        except (NumericalError, OverflowError):
+            return _residuals(ModelParameters(*x), obs, prep)
+        except NumericalError:
             return [[math.inf] * len(obs)] * 4
 
     rng = random.Random(opts.seed)
@@ -446,7 +439,7 @@ def fit(
     # (finite residuals whose squares overflow come back the same, with an
     # infinite objective)
     if not math.isfinite(best_f):
-        best_rows = _residuals(params, obs, dt, prep)
+        best_rows = _residuals(params, obs, prep)
     total, components = _sum_squares(best_rows)
     return FitResult(
         params=params,

@@ -61,17 +61,21 @@ MAX_STEPS = 10_000_000
 _FLOAT_MAX = sys.float_info.max
 
 
-def _reject_field(kind: str, obj) -> None:
-    """DomainError naming the first field of obj that is not finite, is an
-    int past the float range or is negative; kind names what the fields are
-    in the message."""
+def _store_floats(kind: str, obj) -> None:
+    """Store each field of obj as the float it equals; DomainError naming
+    the first that is a bool or not a real number, an int past the float
+    range, not finite or negative (kind names the fields in the message)."""
     for name, v in vars(obj).items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise DomainError(f"{kind} {name} must be a number, got {v!r}")
         if isinstance(v, int) and not -_FLOAT_MAX <= v <= _FLOAT_MAX:
             raise DomainError(f"{kind} {name} must be within the float range, got an integer of {_int_size(v)}")
-        if not math.isfinite(v):
+        x = float(v)
+        if not math.isfinite(x):
             raise DomainError(f"{kind} {name} is not finite: {v!r}")
-        if v < 0.0:
+        if x < 0.0:
             raise DomainError(f"{kind} {name} must be >= 0, got {v!r}")
+        object.__setattr__(obj, name, x)
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class ModelParameters:
 
     alpha* are gain coefficients, phi* saturation rates, beta* damping
     coefficients, gamma* dilution coefficients. All must be finite and
-    non-negative.
+    non-negative; each is stored as a float (see _store_floats).
     """
 
     alpha1: float = 0.0
@@ -98,10 +102,10 @@ class ModelParameters:
     gamma2: float = 0.0
 
     def __post_init__(self) -> None:
-        # "0 <= v <= max" is false for nan, inf and an int past the float
-        # range, so a valid set passes in one pass
-        if not all(0.0 <= v <= _FLOAT_MAX for v in vars(self).values()):
-            _reject_field("parameter", self)
+        # "0 <= v <= max" is false for nan and inf, so a set of valid floats
+        # passes in one pass; any other set is converted field by field
+        if not all(type(v) is float and 0.0 <= v <= _FLOAT_MAX for v in vars(self).values()):
+            _store_floats("parameter", self)
 
     def replace(self, **changes: float) -> "ModelParameters":
         return replace(self, **changes)
@@ -139,7 +143,7 @@ DEFAULT_PARAMETERS = ModelParameters(
 
 @dataclass(frozen=True)
 class SystemState:
-    """A point of the system: time plus the three state components, all finite and >= 0."""
+    """A point of the system: time plus the three state components, all finite floats >= 0."""
 
     t: float
     g: float
@@ -148,12 +152,13 @@ class SystemState:
 
     def __post_init__(self) -> None:
         # integrate builds one state per sample: one chained test clears a
-        # valid state, only a failure walks the fields for the message
+        # state of valid floats, only any other walks the fields
         top = _FLOAT_MAX
         if not (
-            0.0 <= self.t <= top and 0.0 <= self.g <= top and 0.0 <= self.c <= top and 0.0 <= self.m <= top
+            type(self.t) is type(self.g) is type(self.c) is type(self.m) is float
+            and 0.0 <= self.t <= top and 0.0 <= self.g <= top and 0.0 <= self.c <= top and 0.0 <= self.m <= top
         ):
-            _reject_field("state field", self)
+            _store_floats("state field", self)
 
 
 DEFAULT_INITIAL_STATE = SystemState(t=0.0, g=0.5, c=0.5, m=0.5)
@@ -330,13 +335,12 @@ def _time_rows(nf1: float, t0: float, h: float, n: int):
 
 
 # Two, because calibration returns to its base point after its phi1 probe.
-# Typed: past 2**53 an int t0 + k*h rounds once where an equal float's
-# rounds twice, so an int key must not read a float key's table.
-@functools.lru_cache(maxsize=2, typed=True)
+@functools.lru_cache(maxsize=2)
 def _time_table(nf1: float, t0: float, h: float, n: int) -> list:
-    """_time_rows as a list, kept for the two runs asked for last. Equal
-    keys give equal terms: a zero nf1 or t of either sign gives w = 0.0.
-    Callers only read the list."""
+    """_time_rows as a list, kept for the two runs asked for last; callers
+    only read it. Equal keys give equal terms: a zero nf1 or t of either
+    sign gives w = 0.0, and h is a float, so an int t0 converts before
+    t0 + k*h rounds."""
     return list(_time_rows(nf1, t0, h, n))
 
 
@@ -365,7 +369,8 @@ def _rk4_run(
     of dg comes from _time_rows: through _time_table for a run of at most
     _TERMS_STEPS steps, step by step for a longer one. Every step runs on
     math.exp and is redone with _exp only if math.exp raises OverflowError,
-    so a step's value is that step evaluated with _exp.
+    so a step's value is that step evaluated with _exp. With p's fields and
+    h floats, no other operation raises it on checked inputs.
     """
     a1, a2, a3, a4 = p.alpha1, p.alpha2, p.alpha3, p.alpha4
     nf1, nf2, nf3, nf4 = -p.phi1, -p.phi2, -p.phi3, -p.phi4
@@ -413,9 +418,6 @@ def _rk4_run(
                 k4m = a3 * sc4 * (1.0 - exp(nf3 * sg4)) - b3 * sm4
                 break
             except OverflowError:
-                # under _exp only int arithmetic past the float range overflows
-                if exp is _exp:
-                    raise
                 exp = _exp
             except ZeroDivisionError:
                 raise NumericalError(f"zero denominator in RK4 step {k}", step_index=k) from None
@@ -471,12 +473,12 @@ def _step_count(horizon: float, dt: float) -> int:
     return max(math.ceil(ratio), 1)
 
 
-def _integration_steps(horizon: float, dt: float) -> int:
-    """integrate's step count; ArgumentError unless dt is positive and
-    finite and horizon is finite and at least dt."""
-    _number(dt, "dt", positive=True)
+def _integration_steps(horizon: float, dt: float) -> tuple[float, int]:
+    """dt as a float and integrate's step count; ArgumentError unless dt is
+    positive and finite and horizon is finite and at least dt."""
+    dt = _number(dt, "dt", positive=True)
     _number(horizon, "horizon", dt)
-    return _step_count(horizon, dt)
+    return dt, _step_count(horizon, dt)
 
 
 def integrate(
@@ -490,7 +492,7 @@ def integrate(
     Produces ceil(horizon/dt) + 1 samples, the first being the initial
     state; every sample carries the feedback level of its state.
     """
-    steps = _integration_steps(horizon, dt)
+    dt, steps = _integration_steps(horizon, dt)
     t0 = initial.t
     raw, clamps = _integrate_raw(t0, initial.g, initial.c, initial.m, p, steps, dt)
     samples = [
@@ -513,7 +515,7 @@ def advance(
     where compliance_cost is the left-endpoint quadrature of the damping
     term beta2 * c / (1 + gamma1 * m) over the interval.
     """
-    _number(dt, "dt", positive=True)
+    dt = _number(dt, "dt", positive=True)
     _count(substeps, "substeps")
     g, c, m, cost, clamps = _rk4_run(p, state.t, state.g, state.c, state.m, dt / substeps, substeps)
     return SystemState(state.t + dt, g, c, m), _feedback(p, c, m), cost, clamps

@@ -15,8 +15,9 @@ Manufacturers own independent copies of the model state and coefficients;
 they interact only through the shared approval threshold (and the recorded
 mean feedback, kept for analysis). Within a run, agents whose coefficients
 went through the same adjustments hold one shared, immutable
-ModelParameters, built once, and each distinct ratio is decided once per
-step; the records are those of adjusting and deciding every agent afresh.
+ModelParameters, built once, and a ratio is approved by decide's rule,
+brr >= threshold; the records are those of adjusting and deciding every
+agent afresh.
 What the engine derives from a decision, the key of its deltas and its
 ratio, it derives once per run, however many agent-steps share the decision.
 """
@@ -40,7 +41,8 @@ from .agents import (
     llm_policy_decide,
     rule_policy_decide,
 )
-from .brr import ThresholdConfig, compute_brr, decide, update_threshold
+from .brr import ThresholdConfig, compute_brr, update_threshold
+from .brr import decide  # unused here; bench/tracing.py wraps it by this module's name
 from .corpus import Regulation, Schedule, active_phase, regulations_for
 from .dynamics import (
     DEFAULT_PARAM_BOUNDS,
@@ -221,7 +223,6 @@ def _run_engine(
         decisions = decide_step(t, regs, threshold, views)
 
         step_brrs: list[float] = []
-        approvals: dict[float, bool] = {}
         agent_records: dict[str, AgentStepRecord] = {}
         for aid in ids:
             decision = decisions[aid]
@@ -257,10 +258,7 @@ def _run_engine(
 
             approved: bool | None = None
             if brr_value is not None:
-                approved = approvals.get(brr_value)
-                if approved is None:
-                    approved = approvals[brr_value] = decide(brr_value, threshold).approved
-                last_approved[aid] = approved
+                approved = last_approved[aid] = brr_value >= threshold
                 step_brrs.append(brr_value)
 
             # positional arguments, in field order: params, state, f,

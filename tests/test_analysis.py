@@ -1,6 +1,7 @@
 """Metrics, Welch ANOVA, the F tail, and sensitivity sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,25 @@ class TestIncompleteBeta:
             f_sf(1.0, 3.0, math.nan)
 
 
+def welch_by_products(groups):
+    """Welch's F, its df2 and eta-squared, each square taken as a product,
+    as plainly as possible; the sums are math.fsum's."""
+    k = len(groups)
+    means = [math.fsum(g) / len(g) for g in groups]
+    variances = [math.fsum((v - m) * (v - m) for v in g) / (len(g) - 1) for g, m in zip(groups, means)]
+    w = [len(g) / var for g, var in zip(groups, variances)]
+    w_sum = math.fsum(w)
+    grand = math.fsum(wi * m for wi, m in zip(w, means)) / w_sum
+    numerator = math.fsum(wi * ((m - grand) * (m - grand)) for wi, m in zip(w, means)) / (k - 1)
+    tmp = math.fsum((1.0 - wi / w_sum) * (1.0 - wi / w_sum) / (len(g) - 1.0) for wi, g in zip(w, groups))
+    tmp /= k * k - 1.0
+    values = [v for g in groups for v in g]
+    mean = math.fsum(values) / len(values)
+    ss_total = math.fsum((v - mean) * (v - mean) for v in values)
+    ss_between = math.fsum(len(g) * ((m - mean) * (m - mean)) for g, m in zip(groups, means))
+    return numerator / (1.0 + 2.0 * (k - 2.0) * tmp), 1.0 / (3.0 * tmp), ss_between / ss_total
+
+
 class TestWelchAnova:
     def test_identical_groups_f_zero_p_one(self):
         res = welch_anova([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
@@ -240,7 +260,7 @@ class TestWelchAnova:
         # a group that is a number, or a list of lists
         with pytest.raises(ArgumentError, match="group 0 needs at least 2 values"):
             welch_anova([5.0, [2.0, 3.0]])
-        with pytest.raises(ArgumentError, match="group 1 needs at least 2 values"):
+        with pytest.raises(ArgumentError, match=re.escape("group 1 value 0 must be a number, got [1.0, 2.0]")):
             welch_anova([[2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]]])
 
     def test_non_finite_value_rejected(self):
@@ -252,6 +272,37 @@ class TestWelchAnova:
         with pytest.raises(NumericalError, match="overflow the float range"):
             welch_anova([big, [1.0, 2.0]])
 
+    def test_a_total_square_past_the_float_range_is_a_numerical_error(self):
+        # F and both variances are finite, but -0.7e154 lies 1.35e154 from
+        # the grand mean, whose square is inf: eta-squared's total would be
+        # inf and its ratio a silent 0.0
+        with pytest.raises(NumericalError, match="overflow the float range"):
+            welch_anova([[-0.7e154, 0.7e154], [1.3e154, 1.3e154 + 1e140]])
+
+    def test_squares_are_products(self):
+        # the groups deviate from their means by d and 2d; d ** 2 from glibc's
+        # pow is 3.6090337378691487e-128 where d * d is 3.609033737869149e-128,
+        # and pow's F is 0.2 where the products give 0.19999999999999998
+        d = 1.8997457034743226e-64
+        groups = [[0.0, 2.0 * d], [0.0, 4.0 * d]]
+        res = welch_anova(groups)
+        assert (res.f_stat, res.df2, res.variance_explained) == welch_by_products(groups)
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([["1", "2.5"], ["3", "5"]], "group 0 value 0 must be a number, got '1'"),
+            ([[1.0, 2.0], [3.0, True]], "group 1 value 1 must be a number, got True"),
+            ([[1.0, 10**400], [3.0, 5.0]], "group 0 value 1 must be a number within the float range, got an integer of 401 digits"),
+        ],
+        ids=["str", "bool", "int"],
+    )
+    def test_a_value_that_is_not_a_number_is_refused(self, groups, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            welch_anova(groups)
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            bonferroni_pairwise(groups)
+
     @settings(max_examples=200, deadline=None)
     @given(
         groups=st.lists(
@@ -261,6 +312,7 @@ class TestWelchAnova:
         )
     )
     @example(groups=[[0.0, 0.0, 88.0], [0.0, 88.0, 6.103515625e-05]])
+    @example(groups=[[1, 2], [3, 5], [4, 4, 7]])
     def test_agrees_with_scipy(self, groups):
         stats = pytest.importorskip("scipy.stats")
         res = welch_anova(groups)

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regflow.analysis import sweep
 from regflow.dynamics import (
     DEFAULT_INITIAL_STATE,
     DEFAULT_PARAM_BOUNDS,
@@ -567,17 +568,21 @@ class TestTimeTermMemo:
             assert run_bits(kernel_run, *args)[0][-1] == bits(math.copysign(0.0, alpha1), 0.0, 0.0)
 
     def test_int_key_after_the_equal_float_key(self):
-        # each int run follows the float run of equal t0 and h; past 2**53
-        # their sums t0 + k*h can round differently, which the last case's
-        # tiny phi1 carries into g by step 50
+        # each int run follows the float run of equal t0 and dt and gives its
+        # bits: past 2**53 an int t0 + k*dt would round once where the
+        # float's rounds twice, which the last case's tiny phi1 carries into
+        # g by step 50, but a state's t and a step size are stored as floats
         cases = [
             (DEFAULT_PARAMETERS, 3.0, 1.0),
             (ModelParameters(alpha1=1.0, phi1=1.854722835381216e-19), 2.751788642814995e16, 1.2212808701218117e17),
         ]
         for p, t0, h in cases:
+            start = SystemState(t0, 0.5, 0.5, 0.5)
+            expected = ref_advance(start, p, 50 * h, 50), ref_integrate(start, p, 50, h)
             for key_t0, key_h in ((t0, h), (int(t0), int(h))):
-                args = (p, key_t0, 0.5, 0.5, 0.5, key_h, 50)
-                assert run_bits(kernel_run, *args) == run_bits(ref_run, *args)
+                state = SystemState(key_t0, 0.5, 0.5, 0.5)
+                dt = int(50 * h) if type(key_h) is int else 50 * h
+                assert (kernel_advance(state, p, dt, 50), kernel_integrate(state, p, 50, key_h)) == expected
 
     def test_redo_after_a_memo_hit(self):
         # the same key three times, so the last runs on the kept terms; the
@@ -609,6 +614,71 @@ class TestTimeTermMemo:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def sweep_bits(*args):
+    """sweep's values, outputs and change rates as bits."""
+    result = sweep(*args)
+    rows = [result.values] + [result.outputs[name] + result.change_rates[name] for name in result.outputs]
+    return [bits(*row) for row in rows]
+
+
+int_coefficient = st.integers(0, 2) | st.just(10**200)
+
+
+class TestNumberRule:
+    """A checked coefficient, state or step is a float: an int gives the
+    bits of the float it equals, and a bool or a non-number is refused."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ModelParameters(alpha1="x"), "parameter alpha1 must be a number, got 'x'"),
+            (lambda: ModelParameters(alpha1=True), "parameter alpha1 must be a number, got True"),
+            (lambda: SystemState(True, 0.5, 0.5, 0.5), "state field t must be a number, got True"),
+        ],
+        ids=["str", "bool", "state-bool"],
+    )
+    def test_a_bool_or_a_non_number_is_refused(self, build, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build()
+
+    def test_every_field_is_a_float(self):
+        p = ModelParameters(*range(13))
+        state = SystemState(0, 1, 2, 3)
+        assert {type(v) for v in (*vars(p).values(), *vars(state).values())} == {float}
+
+    def test_an_int_product_past_the_float_range(self):
+        # phi3 * g is 1e400: as floats it is inf, so exp(-phi3 * g) is 0.0,
+        # where the int product 10**400 would overflow exp into inf
+        got = kernel_advance(SystemState(0, 10**200, 1, 1), ModelParameters(alpha3=1.0, phi3=10**200), 0.001, 1)
+        floats = SystemState(0.0, 1e200, 1.0, 1.0), ModelParameters(alpha3=1.0, phi3=1e200), 0.001, 1
+        assert got == kernel_advance(*floats)
+        assert advance(*floats)[0] == SystemState(t=0.001, g=1e200, c=1.0, m=1.001)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coefficients=st.lists(int_coefficient, min_size=13, max_size=13),
+        # t0 up to 2**60, past 2**53, in ints that floats hold exactly
+        state=st.tuples(
+            st.integers(0, 3) | st.integers(0, 2**20).map(lambda k: k << 40), int_coefficient,
+            st.integers(0, 3), st.integers(0, 3),
+        ),
+        dt=st.integers(1, 3),
+        substeps=st.integers(1, 20),
+        parameter=st.sampled_from(PARAM_FIELDS),
+        values=st.lists(int_coefficient, min_size=1, max_size=3),
+    )
+    def test_int_inputs_give_the_equal_floats_bits(self, coefficients, state, dt, substeps, parameter, values):
+        def runs(num):
+            p, start = ModelParameters(*map(num, coefficients)), SystemState(*map(num, state))
+            return (
+                outcome(kernel_advance, start, p, num(dt), substeps),
+                outcome(kernel_integrate, start, p, substeps, num(dt)),
+                outcome(sweep_bits, p, start, num(substeps * dt), num(dt), parameter, list(map(num, values))),
+            )
+
+        assert runs(int) == runs(float)
 
 
 class TestCsvExport:

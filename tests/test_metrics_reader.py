@@ -15,7 +15,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regflow import cli
@@ -23,7 +23,7 @@ from regflow.agents import _profile_from_dict
 from regflow.analysis import bonferroni_pairwise, metrics_report, welch_anova
 from regflow.cli import main
 from regflow.dynamics import _real
-from regflow.errors import ArgumentError
+from regflow.errors import ArgumentError, NumericalError
 from regflow.schema import from_json, json_default, parse_json, read_text
 from regflow.simulation import SimulationConfig, result_from_json_dict
 
@@ -190,10 +190,12 @@ def reference_outcome(path: str, epsilon: float) -> tuple[int, str]:
             raise ArgumentError(f"malformed result file {path}: {exc}") from None
         if not steps:
             raise ArgumentError("result contains no step records")
-        report = {
-            "epsilon": epsilon,
-            "per_agent": {aid: metrics_report(c[aid], g[aid], epsilon) for aid in sorted(final_m)},
-        }
+        report = {"epsilon": epsilon, "per_agent": {}}
+        for aid in sorted(final_m):
+            try:
+                report["per_agent"][aid] = metrics_report(c[aid], g[aid], epsilon)
+            except NumericalError as exc:
+                return 3, f"numerical error: agent {aid}: {exc}\n"
     except ArgumentError as exc:
         return 2, f"error: {exc}\n"
     return 0, json.dumps(report, default=json_default, sort_keys=True, indent=2) + "\n"
@@ -226,6 +228,14 @@ TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[{}\[\],:]')
 #: values of a repeated member: each one something the checks refuse
 DECOYS = [[], [1], {"0": {}}, [{"agents": []}], None, "records", 3]
 EDIT_CHARACTERS = list('{}[],:"\\ \n0123456789.eE+-truefalsnx')
+
+
+def inf_c_text() -> str:
+    """A 1-agent, 2-step result.json whose last state.c, 1e382 in the text,
+    reads as inf, so its compliance stability is not finite: exit 3."""
+    text = json.dumps(dict(stock_members(1, 2)), separators=(",", ":"))
+    head, _, tail = text.rpartition('"c":')
+    return head + '"c":1e382' + tail[tail.index(","):]
 
 
 @st.composite
@@ -263,6 +273,7 @@ def result_texts(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(text=result_texts(), epsilon=st.sampled_from([0.01, 0.5]))
+@example(text=inf_c_text(), epsilon=0.01)
 def test_metrics_reads_what_json_loads_reads(text, epsilon):
     got, expected = outcomes(text, epsilon)
     assert got == expected
