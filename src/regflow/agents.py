@@ -35,6 +35,7 @@ from .dynamics import (
     _count,
     _number,
     _real,
+    _store_number,
 )
 from .errors import ArgumentError, ReplyParseError
 from .schema import _load, from_json, parse_json
@@ -432,7 +433,7 @@ class ClientConfig:
             scheme = ""
         if scheme not in ("http", "https"):
             raise ArgumentError(f"llm.endpoint must be an http or https URL, got {self.endpoint!r}")
-        _number(self.timeout, "llm.timeout", positive=True)
+        _store_number(self, "timeout", "llm.timeout", positive=True)
         _count(self.retries, "llm.retries", 0)
 
 

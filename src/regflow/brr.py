@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .dynamics import _count, _number
+from .dynamics import _count, _number, _store_number
 from .errors import ArgumentError, DomainError
 
 __all__ = [
@@ -87,8 +87,8 @@ class ThresholdConfig:
 
     def __post_init__(self) -> None:
         for name in ("base", "floor", "ceiling"):
-            _number(getattr(self, name), f"threshold config {name}", positive=True)
-        _number(self.kappa, "kappa", high=1.0)
+            _store_number(self, name, f"threshold config {name}", positive=True)
+        _store_number(self, "kappa", "kappa", high=1.0)
         _count(self.window, "window")
         if not self.floor <= self.base <= self.ceiling:
             raise ArgumentError(

@@ -9,8 +9,9 @@ A projected Levenberg-Marquardt minimizes it inside the per-field box,
 optionally also from seeded random restart points. Fixed-step RK4 makes
 the prediction a smooth, deterministic function of the coefficients
 wherever no state is clamped at zero, so a forward-difference Jacobian
-is accurate to about sqrt(machine epsilon). Everything is deterministic
-for a fixed seed.
+is accurate to about sqrt(machine epsilon); between such Jacobians,
+Broyden's secant update carries J from step to step without integrating.
+Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .dynamics import (
     _integrate_raw,
     _number,
     _step_count,
+    _store_number,
     _total,
     _write_text,
     integrate,
@@ -97,7 +99,7 @@ class FitOptions:
 
     def __post_init__(self) -> None:
         _count(self.max_iter, "max_iter")
-        _number(self.tol, "tol")
+        _store_number(self, "tol", "tol")
         _count(self.restarts, "restarts", 0)
         _count(self.seed, "seed", -math.inf)
 
@@ -266,29 +268,98 @@ def _damped_step(jtj, grad, free, damping):
     return y if all(map(math.isfinite, y)) else None
 
 
+def _jacobian(resid, x, r, lo, hi):
+    """J at x by forward differences, as (columns, JᵀJ, Jᵀr) with JᵀJ's
+    lower triangle by rows. Column j steps x[j] by h = _FD_STEP·max(|x[j]|, 1),
+    backward at the upper bound; it is zero when neither step fits in the
+    box, or when its squares do not sum to a finite number (a probe the
+    model cannot evaluate, or one that overflows). r is resid(x) flattened."""
+    n, zero = len(x), [0.0] * len(r)
+    cols = []
+    for j in range(n):
+        h = _FD_STEP * max(abs(x[j]), 1.0)
+        if x[j] + h > hi[j]:
+            h = -h
+            if x[j] + h < lo[j]:
+                cols.append(zero)
+                continue
+        probe = x.copy()
+        probe[j] += h
+        cols.append([(a - b) / h for a, b in zip((v for row in resid(probe) for v in row), r)])
+    # rows 0 to n-1 and row n of the dot products of the columns and r
+    # (padded to an even count) are JᵀJ and Jᵀr
+    tail = [r] if n % 2 else [r, zero]
+    while True:
+        gram = _gram(cols + tail)
+        bad = [j for j in range(n) if not math.isfinite(gram[j][j])]
+        if not bad:
+            return cols, gram[:n], gram[n][:n]
+        for j in bad:
+            cols[j] = zero
+
+
+def _secant_update(jac, d, r, r_new):
+    """Broyden's rank-1 update of jac = (columns, JᵀJ, Jᵀr) after the step d
+    moved the residuals from r to r_new: J + u·vᵀ with u = r_new - r - J·d and
+    v = d / dᵀd, so that the new J maps d to r_new - r. JᵀJ follows by the
+    rank-1 identity (n dot products Jᵀu instead of a new Gram matrix), and
+    Jᵀr_new from the new columns. None when dᵀd is 0 or the update is not
+    finite."""
+    cols, jtj, _ = jac
+    dd = _dot(d, d)
+    if not dd > 0.0:
+        return None
+    jd = [0.0] * len(r)
+    for dj, col in zip(d, cols):
+        if dj:
+            jd = [a + dj * b for a, b in zip(jd, col)]
+    u = [a - b - c for a, b, c in zip(r_new, r, jd)]
+    v = [dj / dd for dj in d]
+    ju = [_dot(col, u) for col in cols]
+    uu = _dot(u, u)
+    jtj = [
+        [jtj[i][j] + ju[i] * v[j] + v[i] * ju[j] + uu * v[i] * v[j] for j in range(i + 1)]
+        for i in range(len(cols))
+    ]
+    cols = [[a + vj * b for a, b in zip(col, u)] if vj else col for col, vj in zip(cols, v)]
+    grad = [_dot(col, r_new) for col in cols]
+    if not all(map(math.isfinite, [row[-1] for row in jtj] + grad)):
+        return None
+    return cols, jtj, grad
+
+
 def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
     """Minimize the sum of squares of resid(x) over the box [lo, hi].
 
     resid(x) returns the residuals as a sequence of rows, and the sum of
     squares is _sum_squares's; a non-finite entry marks a point the model
-    cannot evaluate. x0, lo and hi are sequences of floats. An iteration
-    builds a forward-difference Jacobian (one resid call per coordinate,
-    stepping backward at the upper bound) and its JᵀJ, holds coordinates
-    that sit on a bound with the gradient pointing out of the box, and
-    tries damped Gauss-Newton steps clipped to the box until one lowers
-    the sum. Each trial solves the damped normal equations
-    (JᵀJ + λD²) s = -Jᵀr over the free coordinates by Cholesky (Marquardt
-    1963); a pivot that is not positive rejects the trial like a step that
-    does not lower the sum. D is the running maximum of the column norms
-    (Moré 1978), 1 for a column that has been zero throughout, and λ
+    cannot evaluate. x0, lo and hi are sequences of floats.
+
+    An iteration takes a Jacobian J, holds the coordinates that sit on a
+    bound with the gradient pointing out of the box, and tries damped
+    Gauss-Newton steps clipped to the box until one lowers the sum. Each
+    trial solves the damped normal equations (JᵀJ + λD²) s = -Jᵀr over the
+    free coordinates by Cholesky (Marquardt 1963); a pivot that is not
+    positive rejects the trial like a step that does not lower the sum. λ
     follows Nielsen's update.
 
+    Only a start's first iteration builds J by forward differences
+    (_jacobian: one resid call per coordinate). After each accepted step
+    Broyden's secant update (_secant_update) carries J to the new point at
+    no resid call. J is built by differences again, within the iteration,
+    when a trial on an updated J is rejected (in place of a larger λ), when
+    no step lowers the sum on an updated J, and after an update that fails.
+    D is the running maximum of the norms of the columns built by
+    differences (Moré 1978), 1 for a column that has been zero throughout;
+    updated columns do not enter it.
+
     Converged: the sum is at or below tol (tested at x0 first, so a start
-    that meets it costs one resid call), or no step lowers it any more
-    (the clipped step leaves x unchanged or the damping passes
-    _MAX_DAMPING). Not converged: max_iter iterations used, or resid(x0)
-    not finite (returned with sum inf). iterations counts the Jacobians
-    built.
+    that meets it costs one resid call), or, on a J built by differences
+    at x, no step lowers it any more (the clipped step leaves x unchanged
+    or the damping passes _MAX_DAMPING). Not converged: max_iter iterations
+    used, or resid(x0) not finite (returned with sum inf). iterations
+    counts the iterations begun, so it is at most max_iter; every resid
+    call is a trial step or a difference probe.
 
     Returns (x_best, rows_best, f_best, iterations, converged) with x_best
     a list and rows_best resid(x_best).
@@ -302,47 +373,22 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
         return x, rows, math.inf, 0, False
     r = [v for row in rows for v in row]
     n = len(x)
-    zero = [0.0] * len(r)
     scale = [0.0] * n
     lam, grow = 1e-3, 2.0
+    jac = None
     for it in range(1, max_iter + 1):
-        # each column of J is a difference of residuals over its step h;
-        # the differences go into the dot products, and the steps after
-        deltas, steps = [], []
-        for j in range(n):
-            h = _FD_STEP * max(abs(x[j]), 1.0)
-            if x[j] + h > hi[j]:
-                h = -h
-                if x[j] + h < lo[j]:
-                    deltas.append(zero)
-                    steps.append(1.0)
-                    continue
-            probe = x.copy()
-            probe[j] += h
-            deltas.append([a - b for row_j, row in zip(resid(probe), rows) for a, b in zip(row_j, row)])
-            steps.append(h)
-        # JᵀJ's lower triangle by rows and Jᵀr, from rows 0 to n-1 and row n
-        # of the dot products of the differences and r (padded to an even
-        # count). A column whose squares do not sum to a finite number (a
-        # probe the model cannot evaluate, or one that overflows) counts as
-        # zero.
-        tail = [r] if n % 2 else [r, zero]
         while True:
-            gram = _gram(deltas + tail)
-            jtj = [[v / steps[i] / steps[j] for j, v in enumerate(row)] for i, row in enumerate(gram[:n])]
-            bad = [j for j in range(n) if not math.isfinite(jtj[j][j])]
-            if not bad:
-                break
-            for j in bad:
-                deltas[j] = zero
-        grad = [v / h for v, h in zip(gram[n], steps)]
-        scale = [max(s, math.sqrt(jtj[j][j])) for j, s in enumerate(scale)]
-        free = [
-            j for j in range(n)
-            if not ((x[j] <= lo[j] and grad[j] > 0.0) or (x[j] >= hi[j] and grad[j] < 0.0))
-        ]
-        diag = [(scale[j] if scale[j] > 0.0 else 1.0) ** 2 for j in free]
-        while True:
+            if jac is None:
+                jac, fresh = _jacobian(resid, x, r, lo, hi), True
+                # D takes column norms from differences only: updated columns
+                # would raise it for good and slow every later step
+                scale = [max(s, math.sqrt(row[-1])) for s, row in zip(scale, jac[1])]
+            _, jtj, grad = jac
+            free = [
+                j for j in range(n)
+                if not ((x[j] <= lo[j] and grad[j] > 0.0) or (x[j] >= hi[j] and grad[j] < 0.0))
+            ]
+            diag = [(scale[j] if scale[j] > 0.0 else 1.0) ** 2 for j in free]
             step = _damped_step(jtj, grad, free, [lam * d for d in diag])
             x_new = None
             if step is not None:
@@ -350,14 +396,19 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
                 for j, s in zip(free, step):
                     x_new[j] = min(max(x[j] + s, lo[j]), hi[j])
             if lam > _MAX_DAMPING or x_new == x:
-                return x, rows, f, it, True
-            if x_new is not None:
+                if fresh:
+                    return x, rows, f, it, True
+            elif x_new is not None:
                 rows_new = resid(x_new)
                 f_new = _sum_squares(rows_new)[0]
                 if f_new < f:
                     break
-            lam *= grow
-            grow *= 2.0
+            if fresh:
+                lam *= grow
+                grow *= 2.0
+            else:
+                # an updated J failed: build it again at x, at the same λ
+                jac = None
         # the drop the linear model r + J·d predicts for d = x_new - x:
         # |r|² - |r + J·d|² = -(2·Jᵀr·d + d·JᵀJ·d)
         d = [b - a for a, b in zip(x, x_new)]
@@ -372,10 +423,11 @@ def _levenberg_marquardt(resid, x0, lo, hi, max_iter: int, tol: float):
         # the floor keeps a later rejection able to raise the damping
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _EPS)
         grow = 2.0
-        x, rows, f = x_new, rows_new, f_new
-        r = [v for row in rows for v in row]
-        if f <= tol:
-            return x, rows, f, it, True
+        if f_new <= tol:
+            return x_new, rows_new, f_new, it, True
+        r_new = [v for row in rows_new for v in row]
+        jac, fresh = _secant_update(jac, d, r, r_new), False
+        x, rows, f, r = x_new, rows_new, f_new, r_new
     return x, rows, f, max_iter, False
 
 
@@ -396,11 +448,16 @@ def fit(
     A start converges when its objective is at or below options.tol or no
     step inside the box lowers it further; it stops unconverged after
     options.max_iter iterations, or at once when the integration diverges
-    at its starting point. An iteration is one forward-difference Jacobian
-    (13 integrations) plus its trial steps; `iterations` sums them over
-    all starts run, and `converged` is the winning start's. The reported
-    objective and components are _sum_squares of the winning start's last
-    residuals, so the objective is the very sum the optimizer compared.
+    at its starting point. An iteration is one loop of damped trial steps
+    that ends in an accepted step or a stop (see _levenberg_marquardt);
+    `iterations` sums them over all starts run, each start at most
+    options.max_iter, and `converged` is the winning start's. One
+    evaluation is one integration of the series: a trial step, or one of
+    the 13 forward-difference probes of a Jacobian, which a start builds
+    at its first iteration and again only where a secant-updated one
+    fails. The reported objective and components are _sum_squares of the
+    winning start's last residuals, so the objective is the very sum the
+    optimizer compared.
     """
     prep = _prepare(obs, dt)
     opts = options or FitOptions()

@@ -246,6 +246,13 @@ def _number(value, where: str, low=0.0, high=math.inf, *, positive=False) -> flo
     raise ArgumentError(f"{where} must be {need}, got {value!r}")
 
 
+def _store_number(obj, name: str, where: str, **limits) -> None:
+    """Store the field obj.name of a frozen dataclass as the float that
+    _number(value, where, **limits) returns, so that an int and the equal
+    float make equal objects."""
+    object.__setattr__(obj, name, _number(getattr(obj, name), where, **limits))
+
+
 def _total(values) -> float:
     """The sum of values, added left to right with one rounding per
     addition: what builtin sum() gives floats before Python 3.12, which

@@ -53,8 +53,8 @@ from .dynamics import (
     _bounds_from_json,
     _check_box,
     _count,
-    _number,
     _real,
+    _store_number,
     _total,
     _write_text,
     advance,
@@ -108,11 +108,11 @@ class SimulationConfig:
             raise ArgumentError(
                 f"total_steps * inner_substeps requires {rk4_steps} RK4 steps; limit is {MAX_STEPS}"
             )
-        _number(self.dt_per_step, "dt_per_step", positive=True)
+        _store_number(self, "dt_per_step", "dt_per_step", positive=True)
         _check_box(self.param_bounds, "param_bounds")
         if self.policy_kind not in POLICY_KINDS:
             raise ArgumentError(f"policy_kind must be one of {POLICY_KINDS}, got {self.policy_kind!r}")
-        _number(self.max_step, "max_step", positive=True)
+        _store_number(self, "max_step", "max_step", positive=True)
         _count(self.seed, "seed", -math.inf)
         if self.llm is not None and not isinstance(self.llm, ClientConfig):
             raise ArgumentError(f"llm must be a ClientConfig or None, got {self.llm!r}")

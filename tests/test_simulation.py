@@ -294,6 +294,29 @@ class TestConfigParsing:
         assert type(cfg.llm.retries) is int and type(cfg.llm.timeout) is float
         assert _config_from_dict(json.loads(json.dumps(cfg, default=json_default))) == cfg
 
+    def test_int_and_float_configs_give_identical_records(self):
+        # each number field stores the float it equals, as ModelParameters
+        # does, so an int config runs, records and serializes as the float one
+        from regflow.calibration import FitOptions
+
+        def config(num):
+            threshold = ThresholdConfig(base=num(4), kappa=num(0), floor=num(2), ceiling=num(8))
+            llm = ClientConfig(endpoint="http://h/v1", timeout=num(5))
+            return small_config(
+                total_steps=3, inner_substeps=1, dt_per_step=num(1), max_step=num(1), threshold_cfg=threshold, llm=llm
+            )
+
+        as_int, as_float = config(int), config(float)
+        numbers = [getattr(as_int.threshold_cfg, name) for name in ("base", "kappa", "floor", "ceiling")]
+        numbers += [as_int.dt_per_step, as_int.max_step, as_int.llm.timeout, FitOptions(tol=0).tol]
+        assert [type(v) for v in numbers] == [float] * 8
+        results = [
+            run(cfg, list(DEFAULT_PROFILES), default_initial(DEFAULT_PROFILES), CORPUS) for cfg in (as_int, as_float)
+        ]
+        assert [type(rec.threshold) for rec in results[0].records] == [float] * 3
+        texts = [json.dumps(result_to_json_dict(r), default=json_default) for r in results]
+        assert texts[0] == texts[1]
+
     @pytest.mark.parametrize("cycle", [True, False])
     def test_cycle_takes_json_bools(self, cycle):
         from regflow.simulation import _config_from_dict
